@@ -51,7 +51,7 @@ from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
 from repro.circuit.topology import FFPair
 from repro.logic.simulator import evaluate_gate
 from repro.logic.values import X
-from repro.core.hazard import HazardChecker
+from repro.core.hazard import HazardChecker, SourcePremises
 from repro.core.result import (
     HazardVerdictKind,
     PairHazardVerdict,
@@ -80,6 +80,7 @@ COUNTER_KEYS = (
     "unsat",
     "unknown",
     "delay_filtered",
+    "source_premises",
 )
 
 
@@ -161,12 +162,15 @@ class ExactHazardChecker:
         self.expansion = expansion
         self.conflict_limit = conflict_limit
         self.delays = delays
+        # Both bounds share one holder of the source premises and cones.
+        self._premises = SourcePremises(expansion)
         self._sens = HazardChecker(
             circuit,
             SensitizationMode.STATIC_SENSITIZATION,
             backtrack_limit=backtrack_limit,
             max_attempts=max_attempts,
             expansion=expansion,
+            premises=self._premises,
         )
         self._cosens = HazardChecker(
             circuit,
@@ -174,6 +178,7 @@ class ExactHazardChecker:
             backtrack_limit=backtrack_limit,
             max_attempts=max_attempts,
             expansion=expansion,
+            premises=self._premises,
         )
         self.counters: dict[str, int] = {key: 0 for key in COUNTER_KEYS}
         self._solver: CdclSolver | None = None
@@ -196,6 +201,7 @@ class ExactHazardChecker:
         self.counters[verdict.verdict.value.replace("-", "_")] += 1
         if verdict.delay_safe:
             self.counters["delay_filtered"] += 1
+        self.counters["source_premises"] = self._premises.assumed
         return verdict
 
     def check_pairs(

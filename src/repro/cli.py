@@ -1,4 +1,4 @@
-"""Command-line interface: ``python -m repro <command>`` or ``repro-mcp``.
+"""Command-line interface: ``python -m repro <command>`` or ``repro``.
 
 Commands
 --------
@@ -386,14 +386,15 @@ def cmd_hazard(args: argparse.Namespace) -> int:
         )
     print(f"multi-cycle pairs before hazard checking: "
           f"{len(result.multi_cycle_pairs)}")
+    bounds = {}
     for mode in SensitizationMode:
-        hazard = check_hazards(circuit, result, mode)
+        hazard = bounds[mode] = check_hazards(circuit, result, mode)
         print(f"after {mode.value:13s}: {len(hazard.verified_pairs)} kept, "
               f"{len(hazard.flagged_pairs)} flagged "
               f"({hazard.total_seconds:.2f}s)")
     from repro.core.hazard import HazardClass, classify_hazards
 
-    classes = classify_hazards(circuit, result)
+    classes = classify_hazards(circuit, result, results=bounds)
     print("classification (Section 5.2/5.3):")
     for key in (HazardClass.SAFE, HazardClass.DEPENDENT, HazardClass.HAZARDOUS):
         print(f"  {key:10s}: {len(classes[key])}")
@@ -630,7 +631,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command-line parser."""
     parser = argparse.ArgumentParser(
-        prog="repro-mcp",
+        prog="repro",
         description="Implication-based multi-cycle path detection "
                     "(reproduction of Higuchi, DAC 2002)",
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from repro.circuit.gates import COMBINATIONAL_TYPES
 from repro.circuit.netlist import Circuit
@@ -71,6 +72,74 @@ class HazardCheckResult:
         return [r.pair_result for r in self.reports if r.has_potential_hazard]
 
 
+class SourcePremises:
+    """The source half of the case premise, held per toggle direction.
+
+    ``FF_i(t) = a, FF_i(t+1) = 1-a`` depends only on the launch FF and
+    ``a``, and its implications dominate a whole premise.  One engine per
+    ``a`` keeps it assumed until the launch FF changes, so a pair only
+    adds its sink half ``FF_j(t+1) = FF_j(t+2) = b``; pairs fed grouped by
+    launch FF assume each source premise at most once per direction.  The frame-2
+    fanin cone of every target is cached too, and checkers built on one
+    holder (the exact checker's two bounds) share all of it.
+    """
+
+    def __init__(self, expansion: TimeFrameExpansion) -> None:
+        self.expansion = expansion
+        self.engines = (
+            ImplicationEngine(expansion.comb),
+            ImplicationEngine(expansion.comb),
+        )
+        #: launch FF index held per direction, and whether it is consistent
+        self._held: list[int | None] = [None, None]
+        self._consistent = [False, False]
+        self._cones: dict[int, frozenset[int]] = {}
+        #: how often a launch FF's source premise was assumed
+        self.assumed = 0
+        # The hazard path must lie inside the second frame's combinational
+        # logic (the cycle t+1 -> t+2 in which the relaxed propagation runs).
+        circuit = expansion.sequential
+        self.frame2_nodes = frozenset(
+            expansion.node_at[1][n]
+            for n in range(circuit.num_nodes)
+            if circuit.types[n] in COMBINATIONAL_TYPES
+        )
+
+    def engine(self, source: int, a: int) -> ImplicationEngine | None:
+        """The engine holding launch FF ``source``'s premise for ``a``.
+
+        ``None`` when that premise contradicts: the source cannot toggle
+        away from ``a``, so every case with this ``a`` is skipped.
+        """
+        engine = self.engines[a]
+        if self._held[a] != source:
+            engine.reset()
+            self._held[a] = source
+            self.assumed += 1
+            expansion = self.expansion
+            self._consistent[a] = engine.assume_all([
+                (expansion.ff_at[0][source], a),
+                (expansion.ff_at[1][source], 1 - a),
+            ])
+        return engine if self._consistent[a] else None
+
+    def cone(self, target: int) -> frozenset[int]:
+        """Frame-2 fanin cone of ``target`` plus the frame entries it reads."""
+        cone = self._cones.get(target)
+        if cone is None:
+            fanins = self.engines[0].fanins
+            seen: set[int] = set()
+            stack = [target]
+            while stack:
+                node = stack.pop()
+                if node not in seen:
+                    seen.add(node)
+                    if node in self.frame2_nodes:
+                        stack.extend(fanins[node])
+            cone = self._cones[target] = frozenset(seen)
+        return cone
+
+
 class HazardChecker:
     """Checks detected MC pairs for static hazards on a shared expansion."""
 
@@ -81,6 +150,7 @@ class HazardChecker:
         backtrack_limit: int = 50,
         max_attempts: int = 5000,
         expansion: TimeFrameExpansion | None = None,
+        premises: SourcePremises | None = None,
     ) -> None:
         self.circuit = circuit
         self.mode = mode
@@ -91,14 +161,7 @@ class HazardChecker:
         elif expansion.frames < 2:
             raise ValueError("the hazard check needs a 2-frame expansion")
         self.expansion = expansion
-        self.engine = ImplicationEngine(self.expansion.comb)
-        # The hazard path must lie inside the second frame's combinational
-        # logic (the cycle t+1 -> t+2 in which the relaxed propagation runs).
-        self._frame2_nodes = frozenset(
-            self.expansion.node_at[1][n]
-            for n in range(circuit.num_nodes)
-            if circuit.types[n] in COMBINATIONAL_TYPES
-        )
+        self.premises = premises if premises is not None else SourcePremises(expansion)
 
     def check_pair(self, pair_result: PairResult) -> PairHazardReport:
         """Decide whether one multi-cycle pair may see a static hazard."""
@@ -106,29 +169,32 @@ class HazardChecker:
         pair = pair_result.pair
         source = expansion.ff_index(pair.source)
         sink = expansion.ff_index(pair.sink)
-        ffi_t = expansion.ff_at[0][source]
         ffi_t1 = expansion.ff_at[1][source]
         ffj_t1 = expansion.ff_at[1][sink]
         ffj_t2 = expansion.ff_at[2][sink]
+        premises = self.premises
 
         limited = False
         for case in self._satisfiable_cases(pair_result):
             a, b = case
-            mark = self.engine.checkpoint()
-            premise = [(ffi_t, a), (ffi_t1, 1 - a), (ffj_t1, b), (ffj_t2, b)]
-            if not self.engine.assume_all(premise):
-                self.engine.backtrack(mark)
+            engine = premises.engine(source, a)
+            if engine is None:
+                continue
+            mark = engine.checkpoint()
+            if not engine.assume_all([(ffj_t1, b), (ffj_t2, b)]):
+                engine.backtrack(mark)
                 continue
             result = find_sensitizable_path(
-                self.engine,
+                engine,
                 source=ffi_t1,
                 target=ffj_t2,
-                allowed=self._frame2_nodes,
+                allowed=premises.frame2_nodes,
                 mode=self.mode,
                 backtrack_limit=self.backtrack_limit,
                 max_attempts=self.max_attempts,
+                reach=premises.cone(ffj_t2),
             )
-            self.engine.backtrack(mark)
+            engine.backtrack(mark)
             if result.outcome is PathSearchOutcome.FOUND:
                 return PairHazardReport(
                     pair_result,
@@ -142,6 +208,11 @@ class HazardChecker:
             # Resource limit: conservatively flag the pair.
             return PairHazardReport(pair_result, has_potential_hazard=True, limited=True)
         return PairHazardReport(pair_result, has_potential_hazard=False)
+
+    def check_pairs(self, pair_results: Iterable[PairResult]) -> list[PairHazardReport]:
+        """Reports for many pairs; grouping them by launch FF lets each
+        source premise be assumed once per toggle direction."""
+        return [self.check_pair(p) for p in pair_results]
 
     @staticmethod
     def _satisfiable_cases(pair_result: PairResult) -> list[tuple[int, int]]:
@@ -172,7 +243,7 @@ def check_hazards(
     checker = HazardChecker(
         circuit, mode, backtrack_limit=backtrack_limit, max_attempts=max_attempts
     )
-    reports = [checker.check_pair(p) for p in detection.multi_cycle_pairs]
+    reports = checker.check_pairs(detection.multi_cycle_pairs)
     return HazardCheckResult(
         mode=mode, reports=reports, total_seconds=time.perf_counter() - started
     )
@@ -191,6 +262,7 @@ def classify_hazards(
     detection: DetectionResult,
     backtrack_limit: int = 50,
     max_attempts: int = 5000,
+    results: Mapping[SensitizationMode, HazardCheckResult] | None = None,
 ) -> dict[str, list[PairResult]]:
     """Partition multi-cycle pairs per the paper's summary sentence.
 
@@ -204,23 +276,26 @@ def classify_hazards(
       input, so the pair is only safe as long as the blocking paths keep
       their own timing (§5.2's inter-pair dependency).
     * ``safe`` — clean under both conditions; relaxable unconditionally.
+
+    ``results`` supplies both modes' :func:`check_hazards` results when
+    the caller already has them; otherwise both are computed here.
     """
-    sensitize = check_hazards(
-        circuit, detection, SensitizationMode.STATIC_SENSITIZATION,
-        backtrack_limit=backtrack_limit, max_attempts=max_attempts,
-    )
-    cosensitize = check_hazards(
-        circuit, detection, SensitizationMode.STATIC_CO_SENSITIZATION,
-        backtrack_limit=backtrack_limit, max_attempts=max_attempts,
-    )
+    if results is None:
+        results = {
+            mode: check_hazards(
+                circuit, detection, mode,
+                backtrack_limit=backtrack_limit, max_attempts=max_attempts,
+            )
+            for mode in SensitizationMode
+        }
     flagged_sens = {
         (r.pair_result.pair.source, r.pair_result.pair.sink)
-        for r in sensitize.reports
+        for r in results[SensitizationMode.STATIC_SENSITIZATION].reports
         if r.has_potential_hazard
     }
     flagged_cosens = {
         (r.pair_result.pair.source, r.pair_result.pair.sink)
-        for r in cosensitize.reports
+        for r in results[SensitizationMode.STATIC_CO_SENSITIZATION].reports
         if r.has_potential_hazard
     }
     classes: dict[str, list[PairResult]] = {

@@ -62,7 +62,8 @@ from repro.core.pipeline import (
     RandomFilterStage,
     TopologyStage,
     _emit_pair,
-    load_gate_delays,
+    hazard_flagged,
+    make_hazard_checker,
 )
 from repro.core.result import (
     CaseOutcome,
@@ -370,10 +371,6 @@ class IncrementalStage:
         state.hazard_mode = mode
         if mode == "off":
             return
-        from repro.core.hazard import HazardChecker
-        from repro.core.sensitization import mode_from_flag
-        from repro.core.ternary_hazard import TernaryHazardChecker
-
         candidates = [
             r for r in fresh_results
             if r.classification is Classification.MULTI_CYCLE
@@ -427,54 +424,13 @@ class IncrementalStage:
                     candidates.append(by_pair[(pair.source, pair.sink)])
                     checked += 1
         started = ctx.clock()
-        lanes = batches = 0
-        exact_checker = None
+        checker = None
         if candidates:
-            if mode == "ternary":
-                checker = TernaryHazardChecker(
-                    ctx.circuit,
-                    ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                    words=ctx.options.sim_words,
-                )
-                reports = checker.check_pairs(candidates)
-                lanes = checker.lanes_evaluated
-                batches = checker.batches_evaluated
-            elif mode in ("sensitize", "cosensitize"):
-                checker = HazardChecker(
-                    ctx.circuit,
-                    mode_from_flag(mode),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                )
-                reports = [checker.check_pair(r) for r in candidates]
-            elif mode == "exact":
-                from repro.analysis.hazard_exact import (
-                    ExactHazardChecker,
-                    verdict_flags_pair,
-                )
-
-                exact_checker = ExactHazardChecker(
-                    ctx.circuit,
-                    ctx.expansion(2),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    conflict_limit=ctx.options.hazard_conflict_limit,
-                    delays=load_gate_delays(ctx.options, ctx.circuit),
-                )
-                fresh_verdicts = exact_checker.check_pairs(candidates)
-                verdicts.extend(fresh_verdicts)
-                flagged.extend(
-                    v.pair for v in fresh_verdicts
-                    if verdict_flags_pair(v)
-                )
-                reports = []
-            else:
-                raise ValueError(f"unknown hazard_check mode {mode!r}")
-            flagged.extend(
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            )
+            checker = make_hazard_checker(ctx, mode)
+            results = checker.check_pairs(candidates)
+            if mode == "exact":
+                verdicts.extend(results)
+            flagged.extend(hazard_flagged(mode, results))
         flagged.sort(key=lambda p: (p.source, p.sink))
         state.hazard_flagged_pairs = flagged
         state.hazard_flagged = len(flagged)
@@ -483,16 +439,16 @@ class IncrementalStage:
             mode=mode,
             checked=checked,
             flagged=len(flagged),
-            lanes=lanes,
-            batches=batches,
+            lanes=getattr(checker, "lanes_evaluated", 0),
+            batches=getattr(checker, "batches_evaluated", 0),
             seconds=round(ctx.clock() - started, 6),
         )
         if mode == "exact":
             state.hazard_verdicts = sorted(
                 verdicts, key=lambda v: (v.pair.source, v.pair.sink)
             )
-            if exact_checker is not None:
-                state.hazard_exact = exact_checker.summary()
+            if checker is not None:
+                state.hazard_exact = checker.summary()
             else:
                 from repro.analysis.hazard_exact import empty_exact_summary
 

@@ -737,6 +737,49 @@ def load_gate_delays(options: DetectorOptions, circuit: Circuit):
     return GateDelays.load(Path(options.hazard_delays), circuit)
 
 
+def make_hazard_checker(ctx: AnalysisContext, mode: str):
+    """The checker of one ``hazard_check`` mode on the context's expansion.
+
+    Every checker answers ``check_pairs(pair_results)``: reports for the
+    ternary and path-search modes, verdicts for ``exact``.
+    """
+    options = ctx.options
+    if mode == "ternary":
+        return TernaryHazardChecker(
+            ctx.circuit,
+            options.hazard_backtrack_limit,
+            expansion=ctx.expansion(2),
+            words=options.sim_words,
+        )
+    if mode in ("sensitize", "cosensitize"):
+        return HazardChecker(
+            ctx.circuit,
+            mode_from_flag(mode),
+            backtrack_limit=options.hazard_backtrack_limit,
+            expansion=ctx.expansion(2),
+        )
+    if mode == "exact":
+        from repro.analysis.hazard_exact import ExactHazardChecker
+
+        return ExactHazardChecker(
+            ctx.circuit,
+            ctx.expansion(2),
+            backtrack_limit=options.hazard_backtrack_limit,
+            conflict_limit=options.hazard_conflict_limit,
+            delays=load_gate_delays(options, ctx.circuit),
+        )
+    raise ValueError(f"unknown hazard_check mode {mode!r}")
+
+
+def hazard_flagged(mode: str, results: Sequence) -> list[FFPair]:
+    """Pairs that one mode's ``check_pairs`` results keep flagged."""
+    if mode == "exact":
+        from repro.analysis.hazard_exact import verdict_flags_pair
+
+        return [v.pair for v in results if verdict_flags_pair(v)]
+    return [r.pair_result.pair for r in results if r.has_potential_hazard]
+
+
 class HazardStage:
     """Step 5 (optional): validate detected MC pairs against static hazards.
 
@@ -771,66 +814,23 @@ class HazardStage:
         ]
         state.hazard_checked = len(survivors)
         started = ctx.clock()
-        lanes = batches = 0
-        if mode == "ternary":
-            checker = TernaryHazardChecker(
-                ctx.circuit,
-                ctx.options.hazard_backtrack_limit,
-                expansion=ctx.expansion(2),
-                words=ctx.options.sim_words,
-            )
-            reports = checker.check_pairs(survivors)
-            lanes = checker.lanes_evaluated
-            batches = checker.batches_evaluated
-            flagged_pairs = [
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            ]
-        elif mode in ("sensitize", "cosensitize"):
-            checker = HazardChecker(
-                ctx.circuit,
-                mode_from_flag(mode),
-                backtrack_limit=ctx.options.hazard_backtrack_limit,
-                expansion=ctx.expansion(2),
-            )
-            reports = [checker.check_pair(r) for r in survivors]
-            flagged_pairs = [
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            ]
-        elif mode == "exact":
-            from repro.analysis.hazard_exact import (
-                ExactHazardChecker,
-                verdict_flags_pair,
-            )
-
-            exact = ExactHazardChecker(
-                ctx.circuit,
-                ctx.expansion(2),
-                backtrack_limit=ctx.options.hazard_backtrack_limit,
-                conflict_limit=ctx.options.hazard_conflict_limit,
-                delays=load_gate_delays(ctx.options, ctx.circuit),
-            )
-            verdicts = exact.check_pairs(survivors)
-            verdicts.sort(key=lambda v: (v.pair.source, v.pair.sink))
-            state.hazard_verdicts = verdicts
-            state.hazard_exact = exact.summary()
-            flagged_pairs = [
-                v.pair for v in verdicts if verdict_flags_pair(v)
-            ]
-        else:
-            raise ValueError(f"unknown hazard_check mode {mode!r}")
-        flagged = sorted(flagged_pairs, key=lambda p: (p.source, p.sink))
+        checker = make_hazard_checker(ctx, mode)
+        results = checker.check_pairs(survivors)
+        if mode == "exact":
+            results.sort(key=lambda v: (v.pair.source, v.pair.sink))
+            state.hazard_verdicts = results
+            state.hazard_exact = checker.summary()
+        flagged = sorted(
+            hazard_flagged(mode, results), key=lambda p: (p.source, p.sink)
+        )
         state.hazard_flagged_pairs = flagged
         state.hazard_flagged = len(flagged)
         event: dict = dict(
             mode=mode,
             checked=state.hazard_checked,
             flagged=state.hazard_flagged,
-            lanes=lanes,
-            batches=batches,
+            lanes=getattr(checker, "lanes_evaluated", 0),
+            batches=getattr(checker, "batches_evaluated", 0),
             seconds=round(ctx.clock() - started, 6),
         )
         if state.hazard_exact is not None:

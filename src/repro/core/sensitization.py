@@ -125,6 +125,7 @@ def find_sensitizable_path(
     mode: SensitizationMode,
     backtrack_limit: int = 50,
     max_attempts: int = 5000,
+    reach: frozenset[int] | set[int] | None = None,
 ) -> PathSearchResult:
     """Search for a statically (co-)sensitizable path ``source -> target``.
 
@@ -132,9 +133,11 @@ def find_sensitizable_path(
     walk to one time frame of an expansion).  The engine may already carry
     context assumptions (the MC case premise); it is restored before
     returning.  A FOUND result is backed by a justification-verified input
-    vector.
+    vector.  ``reach`` may pass a cached fanin cone of ``target``; it
+    needs only ``target``, the cone's ``allowed`` nodes and their fanins.
     """
-    reach = engine.circuit.transitive_fanin([target])
+    if reach is None:
+        reach = engine.circuit.transitive_fanin([target])
     if source not in reach:
         return PathSearchResult(PathSearchOutcome.NONE)
 

@@ -50,7 +50,6 @@ from repro.circuit.topology import (
     sink_reach,
 )
 from repro.core.deciders import PairDecider, create_decider
-from repro.core.hazard import HazardChecker
 from repro.core.pipeline import (
     AnalysisContext,
     DetectorOptions,
@@ -59,7 +58,8 @@ from repro.core.pipeline import (
     _auto_chunk_size,
     _emit_pair,
     backplane_summary,
-    load_gate_delays,
+    hazard_flagged,
+    make_hazard_checker,
     merge_session_stats,
     packed_summary,
     publish_backplane,
@@ -72,8 +72,6 @@ from repro.core.result import (
     PairResult,
     Stage,
 )
-from repro.core.sensitization import mode_from_flag
-from repro.core.ternary_hazard import TernaryHazardChecker
 from repro.core.workqueue import launch_units, split_threshold
 
 #: "auto" streaming selects the streaming pipeline at this many
@@ -511,52 +509,12 @@ class StreamingStage:
         started = ctx.clock()
         checker = self._hazard_checker
         if checker is None:
-            if mode == "ternary":
-                checker = TernaryHazardChecker(
-                    ctx.circuit,
-                    ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                    words=ctx.options.sim_words,
-                )
-            elif mode in ("sensitize", "cosensitize"):
-                checker = HazardChecker(
-                    ctx.circuit,
-                    mode_from_flag(mode),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    expansion=ctx.expansion(2),
-                )
-            elif mode == "exact":
-                from repro.analysis.hazard_exact import ExactHazardChecker
-
-                checker = ExactHazardChecker(
-                    ctx.circuit,
-                    ctx.expansion(2),
-                    backtrack_limit=ctx.options.hazard_backtrack_limit,
-                    conflict_limit=ctx.options.hazard_conflict_limit,
-                    delays=load_gate_delays(ctx.options, ctx.circuit),
-                )
-            else:
-                raise ValueError(f"unknown hazard_check mode {mode!r}")
-            self._hazard_checker = checker
+            checker = self._hazard_checker = make_hazard_checker(ctx, mode)
         self._hazard_checked += len(fresh_mc)
+        results = checker.check_pairs(fresh_mc)
         if mode == "exact":
-            from repro.analysis.hazard_exact import verdict_flags_pair
-
-            verdicts = checker.check_pairs(fresh_mc)
-            self._hazard_verdicts.extend(verdicts)
-            self._hazard_flagged.extend(
-                v.pair for v in verdicts if verdict_flags_pair(v)
-            )
-        else:
-            if mode == "ternary":
-                reports = checker.check_pairs(fresh_mc)
-            else:
-                reports = [checker.check_pair(r) for r in fresh_mc]
-            self._hazard_flagged.extend(
-                report.pair_result.pair
-                for report in reports
-                if report.has_potential_hazard
-            )
+            self._hazard_verdicts.extend(results)
+        self._hazard_flagged.extend(hazard_flagged(mode, results))
         self._hazard_seconds += ctx.clock() - started
 
     def _hazard_finish(

@@ -1,9 +1,17 @@
 """Static hazard checking: the paper's Section 5 claims on Fig. 3/Fig. 4."""
 
+import dataclasses
+
+from repro.analysis.hazard_exact import ExactHazardChecker
+from repro.bench_gen.suite import spec_by_name
+from repro.bench_gen.synth import generate
+from repro.circuit.builder import CircuitBuilder
 from repro.circuit.techmap import techmap
-from repro.circuit.timeframe import expand
+from repro.circuit.timeframe import expand, expand_cached
+from repro.circuit.topology import FFPair
 from repro.core.detector import detect_multi_cycle_pairs
-from repro.core.hazard import HazardChecker, check_hazards
+from repro.core.hazard import HazardChecker, SourcePremises, check_hazards
+from repro.core.result import Classification, PairResult, Stage
 from repro.core.sensitization import (
     PathSearchOutcome,
     SensitizationMode,
@@ -11,8 +19,8 @@ from repro.core.sensitization import (
 )
 from repro.atpg.implication import ImplicationEngine
 
-from hypothesis import given
-from tests.strategies import random_sequential_circuit, seeds
+from hypothesis import given, settings
+from tests.strategies import random_sequential_circuit, seeds, shuffled
 
 
 def _pair_names(circuit, pair_results):
@@ -122,7 +130,7 @@ def test_path_search_restores_engine(fig4):
 def test_unreachable_source_is_none(fig3):
     checker = HazardChecker(fig3)
     comb = checker.expansion.comb
-    engine = checker.engine
+    engine = ImplicationEngine(comb)
     # A frame-2 PI cannot reach a frame-1-only node.
     result = find_sensitizable_path(
         engine, comb.id_of("IN@1"), comb.id_of("IN@0"), frozenset(),
@@ -192,3 +200,120 @@ def test_classify_hazards_consistent_with_individual_checks(seed):
                          SensitizationMode.STATIC_SENSITIZATION,
                          backtrack_limit=10_000, max_attempts=50_000)
     assert len(classes[HazardClass.HAZARDOUS]) == len(sens.flagged_pairs)
+
+
+# ----------------------------------------------------------------------
+# Held source premises: one shared checker answers like a fresh one.
+# ----------------------------------------------------------------------
+def _syn090_variant(seed):
+    """A mapped syn090 variant: several multi-cycle sinks per launch FF."""
+    spec = dataclasses.replace(spec_by_name("syn090"), seed=seed)
+    circuit = techmap(generate(spec))
+    survivors = sorted(
+        detect_multi_cycle_pairs(circuit).multi_cycle_pairs,
+        key=lambda r: (r.pair.source, r.pair.sink),
+    )
+    return circuit, survivors
+
+
+def _report_key(report):
+    return (
+        report.has_potential_hazard,
+        report.witness_case,
+        report.witness_path,
+        report.limited,
+    )
+
+
+def _by_pair(results, key):
+    return {(r.pair_result.pair.source, r.pair_result.pair.sink): key(r)
+            for r in results}
+
+
+@given(seeds)
+@settings(max_examples=6)
+def test_shared_checker_matches_fresh_checker_per_pair(seed):
+    circuit, survivors = _syn090_variant(seed)
+    assert len(survivors) > len({r.pair.source for r in survivors})
+    expansion = expand_cached(circuit, frames=2)
+    for mode in SensitizationMode:
+        in_order = HazardChecker(circuit, mode, expansion=expansion).check_pairs(
+            survivors
+        )
+        interleaved = HazardChecker(
+            circuit, mode, expansion=expansion
+        ).check_pairs(shuffled(survivors, seed))
+        fresh = [
+            HazardChecker(circuit, mode, expansion=expansion).check_pair(r)
+            for r in survivors
+        ]
+        expected = [_report_key(r) for r in fresh]
+        assert [_report_key(r) for r in in_order] == expected
+        assert _by_pair(interleaved, _report_key) == _by_pair(fresh, _report_key)
+
+
+@given(seeds)
+@settings(max_examples=4)
+def test_exact_checker_matches_fresh_checker_per_pair(seed):
+    circuit, survivors = _syn090_variant(seed)
+    expansion = expand_cached(circuit, frames=2)
+    checker = ExactHazardChecker(circuit, expansion)
+    shared = checker.check_pairs(survivors)
+    fresh = [
+        ExactHazardChecker(circuit, expansion).check_pair(r) for r in survivors
+    ]
+
+    def key(verdict):
+        return (verdict.pair, verdict.verdict, verdict.decided_by,
+                verdict.witness_case)
+
+    assert [key(v) for v in shared] == [key(v) for v in fresh]
+    # Source-ordered input assumes each source premise at most once per
+    # toggle direction, however many bounds and cases reuse it.
+    launch_ffs = {r.pair.source for r in survivors}
+    assert 0 < checker.summary()["source_premises"] <= 2 * len(launch_ffs)
+
+
+def test_contradicting_source_premise_skips_cases_and_resets():
+    """A launch FF that cannot toggle skips every case; the next launch
+    FF still gets an engine holding nothing but its own premise."""
+    builder = CircuitBuilder("stuck")
+    stuck = builder.dff("STUCK")
+    builder.drive(stuck, builder.buf(stuck, name="hold"))
+    toggler = builder.dff("TOG")
+    builder.drive(toggler, builder.not_(toggler, name="flip"))
+    sink = builder.dff(
+        "SINK",
+        d=builder.and_(stuck, toggler, builder.input("en"), name="g"),
+    )
+    builder.output("po", sink)
+    circuit = builder.build()
+    expansion = expand_cached(circuit, frames=2)
+
+    def bare(source):
+        return PairResult(
+            FFPair(source, sink), Classification.MULTI_CYCLE, Stage.ATPG
+        )
+
+    checker = HazardChecker(circuit, SensitizationMode.STATIC_SENSITIZATION)
+    premises = checker.premises
+    report = checker.check_pair(bare(stuck))
+    assert not report.has_potential_hazard and not report.limited
+    assert premises.assumed == 2
+    assert premises.engine(expansion.ff_index(stuck), 0) is None
+    assert premises.engine(expansion.ff_index(stuck), 1) is None
+
+    expected = HazardChecker(
+        circuit, SensitizationMode.STATIC_SENSITIZATION
+    ).check_pair(bare(toggler))
+    assert _report_key(checker.check_pair(bare(toggler))) == _report_key(expected)
+    assert premises.assumed == 4
+
+    index = expansion.ff_index(toggler)
+    for a in (0, 1):
+        engine = premises.engine(index, a)
+        fresh = SourcePremises(expansion).engine(index, a)
+        assert engine is not None and fresh is not None
+        assert engine.assignment.values == fresh.assignment.values
+        assert engine.unjustified == fresh.unjustified
+    assert premises.assumed == 4

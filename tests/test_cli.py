@@ -1,5 +1,7 @@
 """CLI smoke tests through the argparse entry point."""
 
+import re
+
 import pytest
 
 from repro.circuit.bench import dump
@@ -32,6 +34,33 @@ def test_hazard(fig1_file, capsys):
     out = capsys.readouterr().out
     assert "before hazard checking" in out
     assert "co-sensitize" in out
+
+
+#: ``repro hazard`` on fig1, with the per-mode seconds replaced by ``S``.
+FIG1_HAZARD_GOLDEN = """\
+multi-cycle pairs before hazard checking: 5
+after sensitize    : 1 kept, 4 flagged (Ss)
+after co-sensitize : 0 kept, 5 flagged (Ss)
+classification (Section 5.2/5.3):
+  safe      : 0
+  dependent : 1
+  hazardous : 4
+exact classification (SAT-backed):
+  safe           : 1
+  glitch-possible: 0
+  glitch-proven  : 4
+    FF1 -> FF1 (by sensitize)
+    FF2 -> FF2 (by sensitize)
+    FF3 -> FF2 (by sensitize)
+    FF4 -> FF1 (by sensitize)
+  resolution fraction: 1.00 over 1 bound disagreement(s)
+"""
+
+
+def test_hazard_fig1_golden(fig1_file, capsys):
+    assert main(["hazard", fig1_file]) == 0
+    out = re.sub(r"\(\d+\.\d+s\)", "(Ss)", capsys.readouterr().out)
+    assert out == FIG1_HAZARD_GOLDEN
 
 
 def test_analyze_hazard_check_ternary(fig1_file, capsys):
