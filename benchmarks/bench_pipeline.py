@@ -73,7 +73,7 @@ Two measurements per circuit of the selected suite profile, recorded to
 
 Every timed section runs one warmup iteration first and is clocked with
 ``time.perf_counter``.  Per-stage wall times come from the structured
-trace (``stage_end`` events), not ad-hoc timers.
+trace (the ``phases`` of the ``run_end`` event), not ad-hoc timers.
 
 ``pytest benchmarks/bench_pipeline.py --benchmark-only`` runs it alone.
 """
@@ -491,10 +491,8 @@ def _topology_metrics(circuit, repeats: int = 5) -> dict[str, float | bool]:
 
 
 def _stage_seconds(tracer: Tracer) -> dict[str, float]:
-    return {
-        record["stage"]: record["seconds"]
-        for record in tracer.select("stage_end")
-    }
+    """Seconds per phase (topology/random-sim/decide/hazard) of the run."""
+    return dict(tracer.select("run_end")[-1]["phases"])
 
 
 @pytest.mark.parametrize("circuit", _CIRCUITS, ids=_IDS)
@@ -902,7 +900,7 @@ def test_scale_report():
 
     def run_one(name: str, *extra: str) -> dict:
         command = [sys.executable, str(runner), name,
-                   "--streaming", "on", "--rss-limit-mb", "4096", *extra]
+                   "--rss-limit-mb", "4096", *extra]
         proc = subprocess.run(
             command, capture_output=True, text=True, env=env
         )

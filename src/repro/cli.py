@@ -60,18 +60,15 @@ def _detector_options(args: argparse.Namespace) -> DetectorOptions:
         packed_implication=args.packed_implication,
         sim_seed=args.seed,
         sim_words=args.sim_words,
-        sim_plan=args.sim_plan,
         sim_round_batch=args.sim_round_batch,
         workers=args.workers,
         parallel_threshold=args.parallel_threshold,
-        chunk_pairs=args.chunk_pairs,
         backplane=getattr(args, "backplane", "auto"),
         hazard_check=getattr(args, "hazard_check", "off"),
         hazard_delays=getattr(args, "hazard_delays", None),
         hazard_conflict_limit=getattr(
             args, "hazard_conflict_limit", 100_000
         ),
-        streaming=args.streaming,
         max_pairs_in_flight=args.max_pairs_in_flight,
         cache_dir=getattr(args, "cache_dir", None),
         cache_max_bytes=getattr(args, "cache_max_bytes", 1 << 30),
@@ -132,11 +129,6 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                         help="random-simulation seed (default: 2002)")
     parser.add_argument("--sim-words", type=int, default=4,
                         help="64-bit words per simulation round (default: 4)")
-    parser.add_argument("--sim-plan", default="compiled",
-                        choices=("compiled", "python"),
-                        help="random-simulation evaluator: compiled "
-                             "levelized plan (default) or the per-node "
-                             "python reference loop (bit-identical)")
     parser.add_argument("--sim-round-batch", type=int, default=8,
                         help="max simulation rounds packed into one wide "
                              "pass (default: 8; 1 disables batching, "
@@ -145,12 +137,8 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                         help="worker processes for the decision stage "
                              "(default: 1 = serial)")
     parser.add_argument("--parallel-threshold", type=int, default=128,
-                        help="fall back to serial when fewer surviving "
-                             "pairs than this reach the decision stage "
-                             "(default: 128)")
-    parser.add_argument("--chunk-pairs", type=int, default=0,
-                        help="pairs per chunk dispatched to the worker "
-                             "pool (default: 0 = automatic)")
+                        help="fall back to serial when fewer than this "
+                             "many pairs are left to decide (default: 128)")
     parser.add_argument("--backplane", default="auto",
                         choices=("auto", "on", "off"),
                         help="zero-copy shared-memory backplane for the "
@@ -160,17 +148,9 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                              "of rebuilding; verdicts and pair records "
                              "are identical in every mode (default: "
                              "auto = publish whenever workers spawn)")
-    parser.add_argument("--streaming", default="auto",
-                        choices=("auto", "on", "off"),
-                        help="streaming launch-group execution: folds "
-                             "topology/random-sim/decide/hazard one launch "
-                             "group at a time with bounded peak memory; "
-                             "results are identical to the staged pipeline "
-                             "(default: auto = on for large circuits)")
     parser.add_argument("--max-pairs-in-flight", type=int, default=8192,
-                        help="streaming only: cap on pairs submitted to "
-                             "the decision queue but not yet folded "
-                             "(default: 8192)")
+                        help="cap on pairs submitted to the worker "
+                             "pool but not yet folded (default: 8192)")
     parser.add_argument("--hazard-check", default="off",
                         choices=("off", "ternary", "sensitize",
                                  "cosensitize", "exact"),
@@ -459,13 +439,10 @@ def cmd_kcycle(args: argparse.Namespace) -> int:
             result = KCycleDetector(
                 circuit, k, backtrack_limit=args.backtrack_limit,
                 sim_words=args.sim_words, sim_seed=args.seed,
-                sim_plan=args.sim_plan,
                 sim_round_batch=args.sim_round_batch,
                 include_self_loops=not args.no_self_loops,
                 workers=args.workers,
                 parallel_threshold=args.parallel_threshold,
-                chunk_pairs=args.chunk_pairs,
-                streaming=args.streaming,
                 max_pairs_in_flight=args.max_pairs_in_flight,
                 tracer=tracer,
             ).run()

@@ -8,7 +8,7 @@ Ties the stages together exactly as the paper's overall flow:
 4. each remaining pair is settled by a decision engine — by default the
    paper's implication procedure with the ATPG backtrack fallback.
 
-Since the pipeline refactor this module is a thin shell: the staged flow
+This module is a thin shell: the executor (one launch-group fold)
 lives in :mod:`repro.core.pipeline`, the decision engines (implication/
 ATPG, SAT, BDD, cross-check) in :mod:`repro.core.deciders`, and the
 structured trace layer in :mod:`repro.core.trace`.  Select the engine
@@ -25,12 +25,10 @@ Usage::
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.circuit.netlist import Circuit
-from repro.core.pipeline import (
-    AnalysisContext,
-    DetectorOptions,
-    default_pipeline,
-)
+from repro.core.pipeline import AnalysisContext, DetectorOptions, detect
 from repro.core.result import DetectionResult
 from repro.core.trace import ProgressFn, Tracer
 
@@ -63,21 +61,20 @@ class MultiCycleDetector:
         self.tracer = tracer
         self.progress = progress
 
-    def run(self) -> DetectionResult:
+    def run(self, bundle: dict[str, Any] | None = None) -> DetectionResult:
         """Run the pipeline and classify every connected FF pair.
 
-        ``options.streaming`` picks the execution model: the staged
-        pipeline ("off", and "auto" below the size threshold) or the
-        bounded-memory streaming launch-group pipeline
-        (:mod:`repro.core.streaming`).  Results are identical — only
-        peak memory and trace shape differ.
+        With ``bundle`` — a prior run's pair-record bundle
+        (:mod:`repro.core.incremental`) — the run is incremental: decide
+        records whose cones are unchanged are inherited instead of
+        re-decided, and ``result.incremental`` reports the split.
 
         With ``options.cache_dir`` (or ``REPRO_CACHE_DIR``) set, the
         on-disk artifact store is active for the run: derived artifacts
         round-trip through it and the run's pair records are published
         as a bundle for later ``--incremental-from`` ECO runs.
         """
-        from repro.core.streaming import streaming_enabled, streaming_pipeline
+        from repro.core.incremental import Inheritance, save_result_bundle
         from repro.store.runtime import resolve_cache_dir, store_enabled
 
         ctx = AnalysisContext(
@@ -86,15 +83,11 @@ class MultiCycleDetector:
             tracer=self.tracer,
             progress=self.progress,
         )
+        inherit = Inheritance(bundle) if bundle is not None else None
         cache_dir = resolve_cache_dir(self.options.cache_dir)
         with store_enabled(cache_dir, self.options.cache_max_bytes) as store:
-            if streaming_enabled(self.options, self.circuit):
-                result = streaming_pipeline().run(ctx)
-            else:
-                result = default_pipeline().run(ctx)
+            result = detect(ctx, inherit=inherit)
             if store is not None:
-                from repro.core.incremental import save_result_bundle
-
                 save_result_bundle(store, result, self.options)
         return result
 

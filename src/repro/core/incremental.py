@@ -1,51 +1,49 @@
 """Incremental ECO re-analysis: re-decide only what an edit touched.
 
 A full detection run prices every surviving FF pair through the decide
-stage even when the netlist changed by one gate.  This module runs the
-pipeline *incrementally* against a prior run's cached pair records:
+stage even when the netlist changed by one gate.  An incremental run is
+the ordinary detection fold (:func:`repro.core.pipeline.detect`) with an
+:class:`Inheritance` filter against a prior run's cached pair records:
 
 1. **Topology and random simulation always run fresh.**  The random
    filter's outcome depends on the global RNG stream and round
    structure, so any netlist edit can shift which pairs it drops; both
-   stages are cheap relative to decide and rerunning them keeps the
+   phases are cheap relative to decide and rerunning them keeps the
    merged result byte-identical to a full fresh run.
 2. **Decide records are inherited by cone hash.**  A pair's decide
    record is a pure function of its ``(launch-cone-hash,
    capture-cone-hash, options-fingerprint)`` key (see
    :mod:`repro.circuit.structhash`): backward implications stay inside
    the capture FF's expanded fanin cones and forward propagation from a
-   consistent launch assignment cannot conflict outside them.  Survivors
-   whose key matches a prior record inherit its verdict and case list
-   verbatim; only the changed subset re-enters the decision stage.
+   consistent launch assignment cannot conflict outside them.  The
+   filter runs on each launch group's simulation survivors: those whose
+   key matches a prior record inherit its verdict and case list
+   verbatim; only the changed subset is queued for decide.
 3. **Globally-sensitive options force a full re-decide.**  Static
    learning, the compiled implication DB, SCOAP guidance and the
    SAT/BDD/cross-check engines read (or index) the whole circuit, so
    the options fingerprint mixes in the full structural hash whenever
    they are on — any edit then invalidates every prior record, which is
    sound (never wrong, merely slower).
-4. **Hazard flags inherit with the verdicts** when the prior run used
-   the same hazard mode; otherwise inherited multi-cycle pairs are
-   re-checked alongside the fresh ones.
+4. **Hazard verdicts inherit with the decide records** when the prior
+   run used the same hazard options; otherwise inherited multi-cycle
+   pairs are checked alongside the fresh ones, in the same per-batch
+   hazard pass.
 
 The prior state travels as a *pair-record bundle* — a pickleable dict
 the detector publishes to the artifact store after every run (kind
 ``"pair-records"``, addressed by the circuit's name-inclusive content
 key plus the options fingerprint).  ``repro analyze --incremental-from
 OLD.bench`` loads the bundle of the old netlist from the active store
-and merges; the hypothesis differentials in
-``tests/core/test_incremental.py`` pin the merged ``pair_records`` byte
-for byte against full fresh runs (staged and streaming alike).
-
-The incremental path always executes on the staged machinery — the
-streaming pipeline produces byte-identical records (PR 6), so a
-streaming prior run and a staged incremental run compose freely; peak
-memory follows the staged path for the re-decided subset only.
+and merges; the hypothesis tests in ``tests/core/test_incremental.py``
+pin the merged ``pair_records`` byte for byte against full fresh runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from pathlib import Path
+from typing import Any, Sequence
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.structhash import (
@@ -53,18 +51,7 @@ from repro.circuit.structhash import (
     launch_cone_hashes,
 )
 from repro.circuit.topology import FFPair
-from repro.core.pipeline import (
-    AnalysisContext,
-    DecisionStage,
-    DetectorOptions,
-    Pipeline,
-    PipelineState,
-    RandomFilterStage,
-    TopologyStage,
-    _emit_pair,
-    hazard_flagged,
-    make_hazard_checker,
-)
+from repro.core.pipeline import AnalysisContext, DetectorOptions
 from repro.core.result import (
     CaseOutcome,
     CaseResult,
@@ -98,8 +85,8 @@ def options_fingerprint(
 ) -> str:
     """Digest of every option that can influence a pair's decide record.
 
-    Execution-shape options (workers, streaming, chunking, lane packing,
-    the launch-prefix cache) are excluded — prior PRs pin their record
+    Execution-shape options (workers, unit sizing, lane packing, the
+    launch-prefix cache) are excluded — prior PRs pin their record
     byte-identity.  Simulation options are excluded too: the random
     filter reruns fresh on every incremental pass.  When a
     globally-sensitive feature is on (learned tables, SCOAP, the
@@ -260,214 +247,126 @@ def load_result_bundle(
 
 
 # ----------------------------------------------------------------------
-# The incremental stage.
+# The inherit-by-cone-hash filter.
 # ----------------------------------------------------------------------
-class IncrementalStage:
-    """Topology → random-sim → inherit-by-cone-hash → decide the rest.
+def _result_from_record(pair: FFPair, record: dict[str, Any]) -> PairResult:
+    """A prior bundle record as the verbatim pair result it inherits."""
+    return PairResult(
+        pair,
+        Classification(record["classification"]),
+        Stage(record["stage"]),
+        cases=[
+            CaseResult(
+                a=case["a"],
+                b=case["b"],
+                outcome=CaseOutcome(case["outcome"]),
+                decisions=case["decisions"],
+                backtracks=case["backtracks"],
+                witness=case["witness"],
+            )
+            for case in record["cases"]
+        ],
+    )
 
-    A composite :class:`~repro.core.pipeline.PipelineStage` that reuses
-    the staged topology/random-filter/decision machinery and inherits
-    matching prior decide records between the filter and the decision
-    stage.  Result assembly, sorting and the trace envelope come from
-    :class:`~repro.core.pipeline.Pipeline` as usual.
+
+class Inheritance:
+    """Inherit prior decide records (and hazard verdicts) by cone hash.
+
+    The filter :func:`repro.core.pipeline.detect` applies to each launch
+    group's simulation survivors before they are queued for decide: a
+    survivor whose ``(launch-cone-hash, capture-cone-hash)`` matches a
+    decide-settled record of the prior bundle — under the same options
+    fingerprint — inherits that record verbatim; the rest are re-decided.
     """
 
-    name = "incremental"
-
-    def __init__(self, bundle: dict[str, object], frames: int = 2) -> None:
+    def __init__(self, bundle: dict[str, Any]) -> None:
         self.bundle = bundle
-        self.frames = frames
+        self.fingerprint = ""
+        self.inherited: dict[FFPair, dict[str, Any]] = {}
+        self.survivors = 0
+        self.re_decided = 0
 
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        TopologyStage().run(ctx, state)
-        RandomFilterStage(self.frames).run(ctx, state)
-        survivors = list(state.pairs)
-
-        fingerprint = options_fingerprint(
-            ctx.options, ctx.circuit, self.frames
+    def prepare(self, ctx: AnalysisContext, frames: int) -> None:
+        """Index the prior records and hash the circuit's cones."""
+        circuit = ctx.circuit
+        self.fingerprint = options_fingerprint(ctx.options, circuit, frames)
+        self.prior: dict[tuple[str, str], dict[str, Any]] = {}
+        bundle = self.bundle
+        if (bundle.get("fingerprint") == self.fingerprint
+                and bundle.get("frames") == frames):
+            self.prior = {
+                (record["source"], record["sink"]): record
+                for record in bundle.get("records", [])
+                if record["stage"] in _DECIDE_STAGES
+            }
+        self.names = circuit.names
+        self.launch = launch_cone_hashes(circuit, frames)
+        self.capture = capture_cone_hashes(circuit, frames)
+        self.hazard_reuse = (
+            bundle.get("hazard_fingerprint") == hazard_fingerprint(ctx.options)
         )
-        prior_records: dict[tuple[str, str], dict[str, object]] = {}
-        if self.bundle.get("fingerprint") == fingerprint and (
-            self.bundle.get("frames") == self.frames
-        ):
-            for record in self.bundle.get("records", []):  # type: ignore[union-attr]
-                prior_records[(record["source"], record["sink"])] = record
 
-        launch = launch_cone_hashes(ctx.circuit, self.frames)
-        capture = capture_cone_hashes(ctx.circuit, self.frames)
-        names = ctx.circuit.names
-        inherited: list[tuple[FFPair, dict[str, object]]] = []
+    def split(
+        self, pairs: Sequence[FFPair]
+    ) -> tuple[list[PairResult], list[FFPair]]:
+        """``(inherited results, pairs to re-decide)`` of one group."""
+        names = self.names
+        inherited: list[PairResult] = []
         fresh: list[FFPair] = []
-        for pair in survivors:
-            record = prior_records.get(
-                (names[pair.source], names[pair.sink])
-            )
+        for pair in pairs:
+            record = self.prior.get((names[pair.source], names[pair.sink]))
             if (
                 record is not None
-                and record["stage"] in _DECIDE_STAGES
-                and record["launch"] == launch[pair.source]
-                and record["capture"] == capture[pair.sink]
+                and record["launch"] == self.launch[pair.source]
+                and record["capture"] == self.capture[pair.sink]
             ):
-                inherited.append((pair, record))
+                self.inherited[pair] = record
+                inherited.append(_result_from_record(pair, record))
             else:
                 fresh.append(pair)
+        self.survivors += len(pairs)
+        self.re_decided += len(fresh)
+        return inherited, fresh
 
-        # Decide only the changed subset; DecisionStage handles serial/
-        # parallel dispatch, counters and trace events unchanged.
-        state.pairs = fresh
-        before = len(state.results)
-        DecisionStage().run(ctx, state)
-        fresh_results = state.results[before:]
+    def prior_hazard(
+        self, pair: FFPair, mode: str
+    ) -> tuple[bool, PairHazardVerdict | None] | None:
+        """An inherited pair's prior ``(flagged, verdict)`` hazard outcome.
 
-        # Materialize inherited records; zero CPU charged to their stage.
-        for pair, record in inherited:
-            result = PairResult(
-                pair,
-                Classification(record["classification"]),
-                Stage(record["stage"]),
-                cases=[
-                    CaseResult(
-                        a=case["a"],
-                        b=case["b"],
-                        outcome=CaseOutcome(case["outcome"]),
-                        decisions=case["decisions"],
-                        backtracks=case["backtracks"],
-                        witness=case["witness"],
-                    )
-                    for case in record["cases"]  # type: ignore[union-attr]
-                ],
-            )
-            state.results.append(result)
-            stats = state.stats[result.stage]
-            if result.classification is Classification.MULTI_CYCLE:
-                stats.multi_cycle += 1
-            elif result.classification is Classification.SINGLE_CYCLE:
-                stats.single_cycle += 1
-            else:
-                stats.undecided += 1
-            _emit_pair(ctx, state, result, 0.0, engine=state.engine)
+        ``None`` — check the pair — unless the pair was inherited and the
+        prior run used the same hazard options (and, for ``exact``,
+        recorded a verdict: older bundles carry only the flag).
+        """
+        record = self.inherited.get(pair)
+        if record is None or not self.hazard_reuse:
+            return None
+        if mode != "exact":
+            return bool(record.get("hazard_flagged")), None
+        kind = record.get("hazard_verdict")
+        if kind is None:
+            return None
+        from repro.analysis.hazard_exact import verdict_flags_pair
 
-        self._hazard(ctx, state, fresh_results, inherited)
-
-        state.incremental = {
-            "survivors": len(survivors),
-            "inherited": len(inherited),
-            "re_decided": len(fresh),
-        }
-        ctx.emit("incremental", fingerprint=fingerprint[:16],
-                 **state.incremental)
-        state.pairs = []
-
-    # ------------------------------------------------------------------
-    def _hazard(
-        self,
-        ctx: AnalysisContext,
-        state: PipelineState,
-        fresh_results: list[PairResult],
-        inherited: list[tuple[FFPair, dict[str, object]]],
-    ) -> None:
-        """Hazard-check fresh MC pairs; inherit verdicts where options match."""
-        mode = ctx.options.hazard_check
-        state.hazard_mode = mode
-        if mode == "off":
-            return
-        candidates = [
-            r for r in fresh_results
-            if r.classification is Classification.MULTI_CYCLE
-        ]
-        flagged: list[FFPair] = []
-        verdicts: list[PairHazardVerdict] = []
-        checked = len(candidates)
-        by_pair = {
-            (r.pair.source, r.pair.sink): r for r in state.results
-        }
-        if self.bundle.get("hazard_fingerprint") == hazard_fingerprint(
-            ctx.options
-        ):
-            for pair, record in inherited:
-                if Classification(record["classification"]) is not (
-                    Classification.MULTI_CYCLE
-                ):
-                    continue
-                if mode == "exact":
-                    kind = record.get("hazard_verdict")
-                    if kind is None:
-                        # Pre-verdict bundle format: re-check the pair.
-                        candidates.append(by_pair[(pair.source, pair.sink)])
-                        checked += 1
-                        continue
-                    from repro.analysis.hazard_exact import (
-                        verdict_flags_pair,
-                    )
-
-                    verdict = PairHazardVerdict(
-                        pair,
-                        HazardVerdictKind(kind),
-                        "inherited",
-                        delay_safe=record.get("hazard_delay_safe"),  # type: ignore[arg-type]
-                    )
-                    verdicts.append(verdict)
-                    checked += 1
-                    if verdict_flags_pair(verdict):
-                        flagged.append(pair)
-                    continue
-                checked += 1
-                if record.get("hazard_flagged"):
-                    flagged.append(pair)
-        else:
-            # Prior run used different hazard options (or none): its
-            # verdicts do not apply, so inherited MC pairs re-check.
-            for pair, record in inherited:
-                if Classification(record["classification"]) is (
-                    Classification.MULTI_CYCLE
-                ):
-                    candidates.append(by_pair[(pair.source, pair.sink)])
-                    checked += 1
-        started = ctx.clock()
-        checker = None
-        if candidates:
-            checker = make_hazard_checker(ctx, mode)
-            results = checker.check_pairs(candidates)
-            if mode == "exact":
-                verdicts.extend(results)
-            flagged.extend(hazard_flagged(mode, results))
-        flagged.sort(key=lambda p: (p.source, p.sink))
-        state.hazard_flagged_pairs = flagged
-        state.hazard_flagged = len(flagged)
-        state.hazard_checked = checked
-        event: dict = dict(
-            mode=mode,
-            checked=checked,
-            flagged=len(flagged),
-            lanes=getattr(checker, "lanes_evaluated", 0),
-            batches=getattr(checker, "batches_evaluated", 0),
-            seconds=round(ctx.clock() - started, 6),
+        verdict = PairHazardVerdict(
+            pair,
+            HazardVerdictKind(kind),
+            "inherited",
+            delay_safe=record.get("hazard_delay_safe"),
         )
-        if mode == "exact":
-            state.hazard_verdicts = sorted(
-                verdicts, key=lambda v: (v.pair.source, v.pair.sink)
-            )
-            if checker is not None:
-                state.hazard_exact = checker.summary()
-            else:
-                from repro.analysis.hazard_exact import empty_exact_summary
+        return verdict_flags_pair(verdict), verdict
 
-                state.hazard_exact = empty_exact_summary()
-            event["exact"] = state.hazard_exact
-        ctx.emit("hazard_stage", **event)
-
-
-def incremental_pipeline(
-    bundle: dict[str, object], frames: int = 2
-) -> Pipeline:
-    """A pipeline running the incremental stage over a prior bundle."""
-    return Pipeline([IncrementalStage(bundle, frames=frames)])
+    def summary(self) -> dict[str, int]:
+        return {
+            "survivors": self.survivors,
+            "inherited": len(self.inherited),
+            "re_decided": self.re_decided,
+        }
 
 
 def incremental_detect(
     circuit: Circuit,
     options: DetectorOptions | None = None,
-    bundle: dict[str, object] | None = None,
+    bundle: dict[str, Any] | None = None,
     tracer: Tracer | None = None,
     progress: ProgressFn | None = None,
 ) -> DetectionResult:
@@ -480,15 +379,7 @@ def incremental_detect(
     was inherited.  When an artifact store is active the merged bundle
     is republished, so chains of ECOs keep inheriting.
     """
-    from repro.analysis.lint import enforce
-    from repro.store.runtime import resolve_cache_dir, store_enabled
+    from repro.core.detector import MultiCycleDetector
 
-    options = options or DetectorOptions()
-    enforce(circuit, options.lint)
-    ctx = AnalysisContext(circuit, options, tracer=tracer, progress=progress)
-    cache_dir = resolve_cache_dir(options.cache_dir)
-    with store_enabled(cache_dir, options.cache_max_bytes) as store:
-        result = incremental_pipeline(bundle or {}).run(ctx)
-        if store is not None:
-            save_result_bundle(store, result, options)
-    return result
+    detector = MultiCycleDetector(circuit, options, tracer, progress)
+    return detector.run(bundle=bundle or {})

@@ -271,7 +271,7 @@ class KCycleDetector:
     simulation, then implication/ATPG on a shared k-frame expansion —
     the paper's Step-3 extension applied to the whole flow.
 
-    Runs on the staged pipeline of :mod:`repro.core.pipeline`, so it
+    Runs on the detection fold of :mod:`repro.core.pipeline`, so it
     inherits the parallel executor (``workers``) and the structured
     trace layer for free."""
 
@@ -283,13 +283,10 @@ class KCycleDetector:
         sim_words: int = 4,
         sim_max_rounds: int = 256,
         sim_seed: int = 2002,
-        sim_plan: str = "compiled",
         sim_round_batch: int = 8,
         include_self_loops: bool = True,
         workers: int = 1,
         parallel_threshold: int = 128,
-        chunk_pairs: int = 0,
-        streaming: str = "auto",
         max_pairs_in_flight: int = 8192,
         tracer: Tracer | None = None,
         progress: ProgressFn | None = None,
@@ -303,55 +300,33 @@ class KCycleDetector:
         self.sim_words = sim_words
         self.sim_max_rounds = sim_max_rounds
         self.sim_seed = sim_seed
-        self.sim_plan = sim_plan
         self.sim_round_batch = sim_round_batch
         self.include_self_loops = include_self_loops
         self.workers = workers
         self.parallel_threshold = parallel_threshold
-        self.chunk_pairs = chunk_pairs
-        self.streaming = streaming
         self.max_pairs_in_flight = max_pairs_in_flight
         self.tracer = tracer
         self.progress = progress
 
     def run(self) -> KCycleDetectionResult:
-        from repro.core.pipeline import (
-            AnalysisContext,
-            DecisionStage,
-            DetectorOptions,
-            Pipeline,
-            RandomFilterStage,
-            TopologyStage,
-        )
-        from repro.core.streaming import StreamingStage, streaming_enabled
+        from repro.core.pipeline import AnalysisContext, DetectorOptions, detect
 
         options = DetectorOptions(
             sim_words=self.sim_words,
             sim_max_rounds=self.sim_max_rounds,
             sim_seed=self.sim_seed,
-            sim_plan=self.sim_plan,
             sim_round_batch=self.sim_round_batch,
             backtrack_limit=self.backtrack_limit,
             include_self_loops=self.include_self_loops,
             workers=self.workers,
             parallel_threshold=self.parallel_threshold,
-            chunk_pairs=self.chunk_pairs,
-            streaming=self.streaming,
             max_pairs_in_flight=self.max_pairs_in_flight,
         )
         ctx = AnalysisContext(
             self.circuit, options, tracer=self.tracer, progress=self.progress
         )
         decider = KCycleDecider(self.k, self.backtrack_limit)
-        if streaming_enabled(options, self.circuit):
-            pipeline = Pipeline([StreamingStage(decider, frames=self.k)])
-        else:
-            pipeline = Pipeline([
-                TopologyStage(),
-                RandomFilterStage(frames=self.k),
-                DecisionStage(decider),
-            ])
-        detection = pipeline.run(ctx)
+        detection = detect(ctx, decider, frames=self.k)
         results = [
             KCycleResult(r.pair, self.k, r.classification)
             for r in detection.pair_results

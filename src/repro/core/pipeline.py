@@ -1,45 +1,60 @@
-"""Staged pair-analysis pipeline: the paper's flow as composable parts.
+"""The detection executor: the paper's flow as one launch-group fold.
 
 The paper's Section 4.1 flow — topology → random simulation → per-pair
-decision — used to be hard-coded inside ``MultiCycleDetector.run()``.
-Here it is a :class:`Pipeline` of :class:`PipelineStage` objects running
-over an :class:`AnalysisContext`, so that
+decision — runs here as a single fold over *launch groups* (the pairs
+sharing one launching flip-flop).  :func:`detect` is the only executor;
+the detector, the incremental ECO path and the k-cycle detector all call
+it:
 
-* the decision procedure is pluggable (:mod:`repro.core.deciders` —
-  implication/ATPG, SAT, BDD, or a cross-checking pair of engines),
-* surviving pairs can be sharded across a persistent pool of ``workers``
-  processes whose initializer prepares each worker's engines exactly
-  once from the shared time-frame expansion; small deterministic chunks
-  keep workers busy, results merge byte-identical to serial, and tiny
-  pair lists fall back to in-process serial automatically,
-* every stage boundary and every analyzed pair emits a structured
-  trace event (:mod:`repro.core.trace`) instead of ad-hoc timing code.
+1. **Topology** never builds the pair list.  The connected relation
+   lives in the packed sink-reach matrix
+   (:func:`~repro.circuit.topology.sink_reach`, built in fixed-size
+   source blocks above a size threshold) and is enumerated one launching
+   FF at a time by :func:`~repro.circuit.topology.iter_launch_groups`.
+2. **Random simulation** is one global pass over the packed pair matrix
+   (:func:`~repro.core.random_filter.random_filter_packed`): the paper's
+   quiet-round stopping rule depends on the whole alive set.
+3. **Decide.**  Each group's simulation survivors — minus the pairs an
+   incremental run inherits by cone hash (:mod:`repro.core.incremental`)
+   — queue up across consecutive groups and are cut by
+   :func:`~repro.core.workqueue.launch_units` into units that never split
+   a launch group (only an oversized group is sliced, in parallel runs).
+   A serial run settles each unit with one ``decide_group`` call, units
+   sized to fill one packed implication closure; ``workers > 1`` submits
+   the same kind of units to the work-stealing pool
+   (:mod:`repro.core.workqueue`) under ``options.max_pairs_in_flight``.
+4. **Hazard** validation (optional, Section 5) runs on the multi-cycle
+   results of every folded unit.
 
-The detector, k-cycle detector and reporting layers all build their
-pipelines from these stages; ``MultiCycleDetector`` is now a thin shell
-around :func:`default_pipeline`.
+The decision procedure is pluggable (:mod:`repro.core.deciders`), every
+analyzed pair emits a structured trace event (:mod:`repro.core.trace`),
+each launch group emits a ``launch_group`` progress event once all its
+pairs are folded, and ``run_end`` reports the seconds of the four phases.
+Per-pair state exists only between a group's enumeration and its fold, so
+peak memory is bounded by the packed matrices plus the final records.
+``pair_records`` are byte-identical for every worker count and unit size.
 """
 
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand_cached
-from repro.circuit.topology import FFPair, connected_ff_pairs
+from repro.circuit.topology import (
+    FFPair,
+    iter_launch_groups,
+    launch_group_stats,
+    sink_reach,
+)
 from repro.core.deciders import PairDecider, create_decider
 from repro.core.hazard import HazardChecker
-from repro.core.random_filter import random_filter, random_filter_k
-from repro.core.sensitization import mode_from_flag
-from repro.core.ternary_hazard import TernaryHazardChecker
-from repro.core.workqueue import (
-    WorkStealingPool,
-    launch_units,
-    split_threshold,
-)
-from repro.logic.bitsim import BitSimulator
+from repro.core.random_filter import random_filter_packed
 from repro.core.result import (
     Classification,
     DetectionResult,
@@ -49,7 +64,25 @@ from repro.core.result import (
     Stage,
     StageStats,
 )
+from repro.core.sensitization import mode_from_flag
+from repro.core.ternary_hazard import TernaryHazardChecker
 from repro.core.trace import ProgressFn, Tracer
+from repro.core.workqueue import (
+    WorkStealingPool,
+    decide_unit,
+    launch_units,
+    split_threshold,
+)
+from repro.logic.bitsim import BitSimulator
+
+if TYPE_CHECKING:
+    from repro.core.incremental import Inheritance
+
+#: accepted ``hazard_check`` modes.
+HAZARD_MODES = ("off", "ternary", "sensitize", "cosensitize", "exact")
+
+#: the phases whose seconds ``run_end`` reports, in run order.
+PHASES = ("topology", "random-sim", "decide", "hazard")
 
 
 @dataclass
@@ -109,19 +142,13 @@ class DetectorOptions:
     #: in every mode; publishing is best-effort (a failure falls back to
     #: the pickled path).
     backplane: str = "auto"
-    #: simulation evaluator: "compiled" (levelized batched plan, default)
-    #: or "python" (the reference per-node loop).  Both are bit-identical.
-    sim_plan: str = "compiled"
     #: max logical rounds packed into one wide simulation pass (the word
     #: axis); results are identical for every value, 1 disables batching.
     sim_round_batch: int = 8
-    #: minimum surviving pairs before the decision stage actually shards;
-    #: below it a ``workers > 1`` run falls back to in-process serial,
-    #: because pool/dispatch overhead would dominate.
+    #: minimum pairs to decide before a ``workers > 1`` run actually
+    #: shards; below it the run decides in-process, because pool and
+    #: dispatch overhead would dominate.
     parallel_threshold: int = 128
-    #: pairs per chunk dispatched to the worker pool (0 = automatic:
-    #: enough chunks to keep every worker busy several times over).
-    chunk_pairs: int = 0
     #: hazard validation of detected multi-cycle pairs (Section 5):
     #: "off" (default), "ternary" (bit-parallel Eichelberger simulation),
     #: "sensitize" or "cosensitize" (static path sensitization), or
@@ -139,14 +166,14 @@ class DetectorOptions:
     #: :mod:`repro.sta.delays`); with "exact" mode it re-filters
     #: glitch-proven pairs to those whose pulse survives the delays.
     hazard_delays: str | None = None
-    #: streaming launch-group execution: "auto" (selected for circuits
-    #: above :data:`repro.core.streaming.STREAMING_AUTO_DFFS` flip-flops),
-    #: "on", or "off".  The streaming pipeline folds topology →
-    #: random-sim → decide → hazard one launch group at a time with
-    #: bounded peak memory; pair records are byte-identical either way.
+    #: selects nothing: every run is the one launch-group fold of
+    #: :func:`detect`.  Still validated ("auto", "on" or "off"; anything
+    #: else raises ``ValueError``) because existing callers pass it — the
+    #: benchmark workloads in ``perfbench/workloads.py`` build
+    #: ``DetectorOptions(streaming="on")``.
     streaming: str = "auto"
-    #: streaming only: cap on pairs submitted to the decision queue but
-    #: not yet folded (bounds parent-side memory on huge circuits).
+    #: cap on pairs submitted to the worker pool but not yet folded
+    #: (bounds parent-side memory on huge circuits).
     max_pairs_in_flight: int = 8192
     #: directory of the content-addressed on-disk artifact store
     #: (:mod:`repro.store`); ``None`` falls back to the
@@ -158,6 +185,10 @@ class DetectorOptions:
     cache_dir: str | None = None
     #: size bound of the artifact store in bytes (LRU eviction beyond it).
     cache_max_bytes: int = 1 << 30
+
+    def __post_init__(self) -> None:
+        if self.streaming not in ("auto", "on", "off"):
+            raise ValueError(f"unknown streaming mode {self.streaming!r}")
 
 
 @dataclass
@@ -179,8 +210,8 @@ class AnalysisContext:
     _adopted: dict[int, TimeFrameExpansion] = field(
         default_factory=dict, repr=False
     )
-    #: cached bit simulators keyed by (words, plan mode, circuit version).
-    _simulators: dict[tuple, BitSimulator] = field(
+    #: cached bit simulators keyed by (words, circuit version).
+    _simulators: dict[tuple[int, int], BitSimulator] = field(
         default_factory=dict, repr=False
     )
     #: persistent decision-worker pool (created lazily, closed with the run).
@@ -207,10 +238,10 @@ class AnalysisContext:
         """
         if words is None:
             words = self.options.sim_words
-        key = (words, self.options.sim_plan, self.circuit.version)
+        key = (words, self.circuit.version)
         sim = self._simulators.get(key)
         if sim is None:
-            sim = BitSimulator(self.circuit, words, plan=self.options.sim_plan)
+            sim = BitSimulator(self.circuit, words)
             self._simulators[key] = sim
         return sim
 
@@ -218,8 +249,8 @@ class AnalysisContext:
         self,
         decider: PairDecider,
         expansion: TimeFrameExpansion,
-        shared=None,
-        publish=None,
+        shared: Any = None,
+        publish: Callable[[], tuple[Any, Any, Any]] | None = None,
     ) -> WorkStealingPool:
         """The run's persistent worker pool, created on first use.
 
@@ -264,199 +295,19 @@ class AnalysisContext:
             self._pool.shutdown()
             self._pool = None
 
-    def emit(self, event: str, **fields) -> None:
+    def emit(self, event: str, **fields: Any) -> None:
         """Forward one trace event to the tracer, if any."""
         if self.tracer is not None:
             self.tracer.emit(event, **fields)
 
 
-@dataclass
-class PipelineState:
-    """Mutable run state threaded through the stages."""
-
-    pairs: list[FFPair] = field(default_factory=list)
-    results: list[PairResult] = field(default_factory=list)
-    stats: dict[Stage, StageStats] = field(
-        default_factory=lambda: {stage: StageStats() for stage in Stage}
-    )
-    connected_pairs: int = 0
-    learned_implications: int = 0
-    engine: str = "dalg"
-    disagreements: list[Disagreement] = field(default_factory=list)
-    #: decision-session counter totals (None for non-session engines).
-    session: dict[str, int] | None = None
-    #: implication-DB stats block (None when the DB was not enabled).
-    implication_db: dict[str, float | int] | None = None
-    #: packed-implication totals (None when lane packing was disabled).
-    packed_implication: dict[str, int] | None = None
-    #: hazard-stage outcome (mode "off" when the stage was disabled).
-    hazard_mode: str = "off"
-    hazard_checked: int = 0
-    hazard_flagged: int = 0
-    hazard_flagged_pairs: list[FFPair] = field(default_factory=list)
-    #: exact mode only: per-pair three-way verdicts and pass counters.
-    hazard_verdicts: list[PairHazardVerdict] = field(default_factory=list)
-    hazard_exact: dict[str, float | int] | None = None
-    #: incremental re-analysis stats (set by the incremental stage only).
-    incremental: dict[str, int] | None = None
-    #: shared-memory backplane summary (None when none was published).
-    backplane: dict | None = None
-
-
-class PipelineStage(Protocol):
-    """One step of the pipeline; reads and mutates the run state."""
-
-    name: str
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None: ...
-
-
-def _emit_pair(
-    ctx: AnalysisContext,
-    state: PipelineState,
-    result: PairResult,
-    seconds: float,
-    engine: str | None,
-) -> None:
-    """Emit the per-pair trace event and progress callback."""
-    names = ctx.circuit.names
-    record = {
-        "stage": result.stage.value,
-        "source": names[result.pair.source],
-        "sink": names[result.pair.sink],
-        "classification": result.classification.value,
-        "seconds": round(seconds, 6),
-    }
-    if engine is not None:
-        record["engine"] = engine
-    if result.cases:
-        record["cases"] = len(result.cases)
-        record["decisions"] = sum(c.decisions for c in result.cases)
-        record["backtracks"] = sum(c.backtracks for c in result.cases)
-    if result.metrics:
-        record.update(result.metrics)
-    ctx.emit("pair", **record)
-    if ctx.progress is not None:
-        ctx.progress(len(state.results), state.connected_pairs, record)
-
-
-class TopologyStage:
-    """Step 1: keep only topologically connected FF pairs."""
-
-    name = "topology"
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        state.pairs = connected_ff_pairs(
-            ctx.circuit, include_self_loops=ctx.options.include_self_loops
-        )
-        state.connected_pairs = len(state.pairs)
-
-
-class RandomFilterStage:
-    """Step 2: drop pairs whose MC condition is refuted by simulation.
-
-    ``frames=2`` is the paper's MC condition (:func:`random_filter`);
-    larger values select the k-cycle variant (:func:`random_filter_k`).
-    The filter's dropped pairs are recorded directly — no key-set
-    reconstruction — as guaranteed single-cycle results.
-    """
-
-    name = "random-sim"
-
-    def __init__(self, frames: int = 2) -> None:
-        if frames < 2:
-            raise ValueError("random filtering needs at least 2 frames")
-        self.frames = frames
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        options = ctx.options
-        if not options.use_random_sim or not state.pairs:
-            return
-        started = ctx.clock()
-        sim = ctx.bit_simulator(options.sim_words)
-        if self.frames == 2:
-            report = random_filter(
-                ctx.circuit,
-                state.pairs,
-                words=options.sim_words,
-                max_rounds=options.sim_max_rounds,
-                seed=options.sim_seed,
-                sim=sim,
-                round_batch=options.sim_round_batch,
-            )
-        else:
-            report = random_filter_k(
-                ctx.circuit,
-                state.pairs,
-                self.frames,
-                words=options.sim_words,
-                max_rounds=options.sim_max_rounds,
-                seed=options.sim_seed,
-                sim=sim,
-                round_batch=options.sim_round_batch,
-            )
-        seconds = ctx.clock() - started
-        ctx.emit(
-            "random_sim",
-            plan=options.sim_plan,
-            round_batch=options.sim_round_batch,
-            frames=self.frames,
-            rounds=report.rounds,
-            patterns=report.patterns,
-            dropped=report.dropped,
-            seconds=round(seconds, 6),
-            patterns_per_sec=round(report.patterns / seconds) if seconds else 0,
-        )
-        stats = state.stats[Stage.SIMULATION]
-        for pair in report.dropped_pairs:
-            result = PairResult(pair, Classification.SINGLE_CYCLE, Stage.SIMULATION)
-            state.results.append(result)
-            stats.single_cycle += 1
-            _emit_pair(ctx, state, result, 0.0, engine=None)
-        state.pairs = report.survivors
-        stats.cpu_seconds += seconds
-
-
-def _split_chunks(pairs: Sequence[FFPair], workers: int) -> list[list[FFPair]]:
-    """Contiguous, deterministic shards — at most ``workers``, none empty."""
-    workers = max(1, min(workers, len(pairs)))
-    size, extra = divmod(len(pairs), workers)
-    chunks: list[list[FFPair]] = []
-    start = 0
-    for index in range(workers):
-        end = start + size + (1 if index < extra else 0)
-        if end > start:
-            chunks.append(list(pairs[start:end]))
-        start = end
-    return chunks
-
-
-def _chunk_pairs(pairs: Sequence[FFPair], size: int) -> list[list[FFPair]]:
-    """Contiguous chunks of at most ``size`` pairs, in input order."""
-    size = max(1, size)
-    return [list(pairs[start:start + size]) for start in range(0, len(pairs), size)]
-
-
 def _auto_chunk_size(num_pairs: int, workers: int) -> int:
-    """Default chunk size: ~4 chunks per worker, capped for low latency.
+    """Parallel unit size: ~4 units per worker, capped for low latency.
 
-    Small enough that a slow chunk cannot idle the other workers for
+    Small enough that a slow unit cannot idle the other workers for
     long, large enough that dispatch overhead stays negligible.
     """
     return max(1, min(64, -(-num_pairs // (workers * 4))))
-
-
-def _launch_chunks(pairs: Sequence[FFPair], size: int) -> list[list[FFPair]]:
-    """Contiguous chunks of ~``size`` pairs that never split a launch group.
-
-    Consecutive same-source pairs (one launch group) always land in the
-    same chunk, so the decision session's prefix cache keeps working
-    inside each worker; a group larger than ``size`` becomes its own
-    chunk.  Ordering is preserved, which keeps the merged results
-    byte-identical to serial.  The splitting variant used by the
-    work-stealing queue is :func:`repro.core.workqueue.launch_units`.
-    """
-    return launch_units(pairs, size, split=None)
 
 
 def packed_summary(session: dict[str, int] | None) -> dict[str, int] | None:
@@ -464,7 +315,7 @@ def packed_summary(session: dict[str, int] | None) -> dict[str, int] | None:
 
     The decision session reports its lane-packing counters as
     ``packed_*`` keys (present only when packing is enabled, summed
-    across workers by :func:`merge_session_stats`); this strips the
+    across units by :func:`merge_session_stats`); this strips the
     prefix into the block stored on the result and emitted as the
     ``packed_implication`` trace event.  ``None`` when packing was off.
     """
@@ -499,8 +350,9 @@ def merge_session_stats(
     return total
 
 
-def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
-                      shared) -> tuple:
+def publish_backplane(
+    ctx: AnalysisContext, expansion: TimeFrameExpansion, shared: Any
+) -> tuple[Any, Any, Any]:
     """Publish the decide-stage artifacts into shared memory (best-effort).
 
     Returns ``(backplane, worker_expansion, worker_shared)`` for the
@@ -525,7 +377,7 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
         from repro.store.backplane import publish
 
         comb = expansion.comb
-        artifacts = [
+        artifacts: list[tuple[str, Any]] = [
             ("expansion", expansion),
             ("csr-arrays", csr_arrays(comb)),
             ("simplan", compiled_plan(comb)),
@@ -546,7 +398,7 @@ def publish_backplane(ctx: AnalysisContext, expansion: TimeFrameExpansion,
         return None, expansion, shared
 
 
-def backplane_summary(pool: WorkStealingPool) -> dict | None:
+def backplane_summary(pool: WorkStealingPool) -> dict[str, Any] | None:
     """Fold the workers' prepare reports into the backplane trace block.
 
     ``None`` when no backplane was published (mode "off", publish
@@ -572,161 +424,7 @@ def backplane_summary(pool: WorkStealingPool) -> dict | None:
     }
 
 
-class DecisionStage:
-    """Steps 3+4: settle every surviving pair with a decision engine.
-
-    The engine is either given explicitly (a registry name or an
-    unprepared decider instance) or taken from
-    ``options.search_engine``.  With ``options.workers > 1`` the pairs
-    are sharded across processes; each worker rebuilds the decider from
-    the shared expansion and the shards are merged in input order, so
-    the classification outcome is byte-identical to a serial run.
-    """
-
-    name = "decide"
-
-    def __init__(self, decider: str | PairDecider | None = None) -> None:
-        self._decider_spec = decider
-
-    def _resolve(self, ctx: AnalysisContext) -> PairDecider:
-        spec = self._decider_spec
-        if spec is None:
-            spec = ctx.options.search_engine
-        if isinstance(spec, str):
-            return create_decider(spec)
-        return spec
-
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
-        decider = self._resolve(ctx)
-        state.engine = decider.name
-        pairs = state.pairs
-        workers = max(1, ctx.options.workers)
-        if not pairs:
-            state.pairs = []
-            return
-
-        threshold = max(2, ctx.options.parallel_threshold)
-        go_parallel = workers > 1 and len(pairs) >= threshold
-        if workers > 1:
-            ctx.emit(
-                "decision_exec",
-                mode="parallel" if go_parallel else "serial-fallback",
-                workers=workers,
-                pairs=len(pairs),
-                threshold=threshold,
-            )
-        if go_parallel:
-            decided, learned, disagreements, session, backplane = (
-                self._run_parallel(ctx, decider, pairs, workers)
-            )
-            state.backplane = backplane
-        else:
-            decider.prepare(ctx)
-            group_fn = getattr(decider, "decide_group", None)
-            if group_fn is not None:
-                decided = list(group_fn(pairs))
-            else:
-                decided = []
-                for pair in pairs:
-                    started = ctx.clock()
-                    result = decider.decide(pair)
-                    decided.append((result, ctx.clock() - started))
-            learned = getattr(decider, "learned_implications", 0)
-            disagreements = list(getattr(decider, "disagreements", []))
-            stats_fn = getattr(decider, "session_stats", None)
-            session = stats_fn() if stats_fn is not None else None
-
-        for result, seconds in decided:
-            state.results.append(result)
-            stats = state.stats[result.stage]
-            if result.classification is Classification.MULTI_CYCLE:
-                stats.multi_cycle += 1
-            elif result.classification is Classification.SINGLE_CYCLE:
-                stats.single_cycle += 1
-            else:
-                stats.undecided += 1
-            stats.cpu_seconds += seconds
-            _emit_pair(ctx, state, result, seconds, engine=decider.name)
-        state.learned_implications = learned
-        state.session = session
-        # ``prepare_shared`` (parallel) and ``prepare`` (serial) both run
-        # on this instance in the parent, so the stats block is here
-        # regardless of execution mode.
-        state.implication_db = getattr(decider, "db_info", None)
-        if state.implication_db is not None:
-            ctx.emit("implication_db", engine=decider.name, **state.implication_db)
-        if session is not None:
-            ctx.emit("decision_session", engine=decider.name, **session)
-        state.packed_implication = packed_summary(session)
-        if state.packed_implication is not None:
-            ctx.emit(
-                "packed_implication",
-                engine=decider.name,
-                mode=ctx.options.packed_implication,
-                **state.packed_implication,
-            )
-        state.disagreements.extend(disagreements)
-        for disagreement in disagreements:
-            names = ctx.circuit.names
-            ctx.emit(
-                "disagreement",
-                source=names[disagreement.pair.source],
-                sink=names[disagreement.pair.sink],
-                **{
-                    disagreement.primary_engine: disagreement.primary.value,
-                    disagreement.secondary_engine: disagreement.secondary.value,
-                },
-            )
-        state.pairs = []
-
-    def _run_parallel(
-        self,
-        ctx: AnalysisContext,
-        decider: PairDecider,
-        pairs: Sequence[FFPair],
-        workers: int,
-    ):
-        expansion = ctx.expansion(getattr(decider, "frames", 2))
-        shared = None
-        shared_fn = getattr(decider, "prepare_shared", None)
-        if shared_fn is not None:
-            shared = shared_fn(ctx)
-        # The learned-implication count is the parent's: the table is
-        # computed once here and shipped to every worker, so no chunk
-        # result needs to carry it back.
-        learned = 0
-        if shared is not None:
-            from repro.atpg.learning import count_learned
-
-            learned = count_learned(shared)
-        pool = ctx.decision_pool(
-            decider, expansion, shared=shared,
-            publish=lambda: publish_backplane(ctx, expansion, shared),
-        )
-        size = ctx.options.chunk_pairs or _auto_chunk_size(len(pairs), workers)
-        units = launch_units(pairs, size, split=split_threshold(size))
-        decided: list[tuple[PairResult, float]] = []
-        disagreements: list[Disagreement] = []
-        session: dict[str, int] | None = None
-        for unit in pool.map_units(units):
-            decided.extend(unit.decided)
-            disagreements.extend(unit.flags)
-            session = merge_session_stats(session, unit.stats)
-        ctx.emit(
-            "decision_queue",
-            workers=pool.workers,
-            units=len(units),
-            unit_pairs=size,
-            split=split_threshold(size),
-            per_worker=pool.worker_summary(),
-        )
-        backplane = backplane_summary(pool)
-        if backplane is not None:
-            ctx.emit("backplane", **backplane)
-        return decided, learned, disagreements, session, backplane
-
-
-def load_gate_delays(options: DetectorOptions, circuit: Circuit):
+def load_gate_delays(options: DetectorOptions, circuit: Circuit) -> Any:
     """Load the exact-mode delay sidecar named by the options, if any."""
     if options.hazard_delays is None:
         return None
@@ -737,11 +435,13 @@ def load_gate_delays(options: DetectorOptions, circuit: Circuit):
     return GateDelays.load(Path(options.hazard_delays), circuit)
 
 
-def make_hazard_checker(ctx: AnalysisContext, mode: str):
+def make_hazard_checker(ctx: AnalysisContext, mode: str) -> Any:
     """The checker of one ``hazard_check`` mode on the context's expansion.
 
     Every checker answers ``check_pairs(pair_results)``: reports for the
-    ternary and path-search modes, verdicts for ``exact``.
+    ternary and path-search modes, verdicts for ``exact``.  The checkers
+    run in-process on the context's cached 2-frame expansion — the same
+    object the deciders used, so no re-expansion happens.
     """
     options = ctx.options
     if mode == "ternary":
@@ -771,7 +471,7 @@ def make_hazard_checker(ctx: AnalysisContext, mode: str):
     raise ValueError(f"unknown hazard_check mode {mode!r}")
 
 
-def hazard_flagged(mode: str, results: Sequence) -> list[FFPair]:
+def hazard_flagged(mode: str, results: Sequence[Any]) -> list[FFPair]:
     """Pairs that one mode's ``check_pairs`` results keep flagged."""
     if mode == "exact":
         from repro.analysis.hazard_exact import verdict_flags_pair
@@ -780,151 +480,542 @@ def hazard_flagged(mode: str, results: Sequence) -> list[FFPair]:
     return [r.pair_result.pair for r in results if r.has_potential_hazard]
 
 
-class HazardStage:
-    """Step 5 (optional): validate detected MC pairs against static hazards.
+def _pair_key(item: Any) -> tuple[int, int]:
+    pair = item if isinstance(item, FFPair) else item.pair
+    return pair.source, pair.sink
 
-    Runs after the decision stage over the multi-cycle survivors only.
-    ``options.hazard_check`` picks the condition: the bit-parallel ternary
-    (Eichelberger) simulation check, a static (co-)sensitization path
-    search, or the exact SAT-backed three-way classification (both bounds
-    plus a CNF decision of every disagreeing pair — ``docs/hazards.md``);
-    ``"off"`` makes the stage a no-op.  Classifications and
-    :meth:`~repro.core.result.DetectionResult.pair_records` are never
-    modified — flagged pairs are reported through the result's hazard
-    counters (a flagged pair should not be timing-relaxed even though its
-    settled-value MC condition holds), and exact mode additionally
-    records per-pair safe / glitch-possible / glitch-proven verdicts.
 
-    The checkers run in-process on the context's cached 2-frame expansion
-    — the same object the deciders used, so no re-expansion happens; the
-    ternary checker additionally packs every case witness into simulator
-    lanes and settles all verdicts in a few compiled-plan sweeps.
-    """
+class _Group(NamedTuple):
+    """One launch group, partitioned for the fold."""
 
-    name = "hazard"
+    source: int
+    #: connected sinks of the group (before any filtering).
+    size: int
+    #: pairs the random filter refuted.
+    dropped: list[FFPair]
+    #: results an incremental run inherited from its prior bundle.
+    inherited: list[PairResult]
+    #: pairs left for the decide units.
+    fresh: list[FFPair]
 
-    def run(self, ctx: AnalysisContext, state: PipelineState) -> None:
+
+class _Fold:
+    """One detection run: the fold's accumulators and its four phases."""
+
+    def __init__(
+        self,
+        ctx: AnalysisContext,
+        decider: PairDecider,
+        frames: int,
+        inherit: Inheritance | None,
+    ) -> None:
+        self.ctx = ctx
+        self.decider = decider
+        self.frames = frames
+        self.inherit = inherit
+        self.results: list[PairResult] = []
+        self.stats = {stage: StageStats() for stage in Stage}
+        self.connected = 0
+        self.learned = 0
+        self.session: dict[str, int] | None = None
+        self.disagreements: list[Disagreement] = []
+        self.backplane: dict[str, Any] | None = None
+        self.phases = dict.fromkeys(PHASES, 0.0)
+        #: launch groups not yet reported, in order, with their pairs
+        #: still queued for decide (keyed by launching FF).
+        self.open_groups: deque[list[int]] = deque()
+        self.pending_by_source: dict[int, list[int]] = {}
+        self.groups_total = 0
+        self.groups_folded = 0
+        self.hazard_checker: Any = None
+        self.hazard_upto = 0
+        self.hazard_checked = 0
+        self.hazard_flagged: list[FFPair] = []
+        self.hazard_verdicts: list[PairHazardVerdict] = []
+        self.hazard_exact: dict[str, float | int] | None = None
+
+    # ------------------------------------------------------------------
+    # Phases 1 and 2: topology and the random filter.
+    # ------------------------------------------------------------------
+    def topology(self) -> np.ndarray:
+        """The connected pair matrix (sink rows × source bits)."""
+        ctx = self.ctx
+        include_self = ctx.options.include_self_loops
+        reach = sink_reach(ctx.circuit)
+        num_dffs = len(reach.dffs)
+        alive = np.array(reach.rows, dtype=np.uint64)
+        if num_dffs and not include_self:
+            diag = np.arange(num_dffs)
+            alive[diag, diag // 64] &= ~(
+                np.uint64(1) << (diag % 64).astype(np.uint64)
+            )
+        self.groups_total, self.connected = launch_group_stats(
+            ctx.circuit, include_self
+        )
+        ctx.emit(
+            "stream_topology",
+            groups=self.groups_total,
+            pairs=self.connected,
+            blocked=reach.blocked,
+        )
+        return alive
+
+    def random_sim(self, alive: np.ndarray) -> tuple[np.ndarray, int]:
+        """``(survivor matrix, survivor count)`` after the random filter."""
+        ctx = self.ctx
+        options = ctx.options
+        if not options.use_random_sim or not self.connected:
+            return alive, self.connected
+        started = ctx.clock()
+        report = random_filter_packed(
+            ctx.circuit,
+            alive,
+            frames=self.frames,
+            words=options.sim_words,
+            max_rounds=options.sim_max_rounds,
+            seed=options.sim_seed,
+            sim=ctx.bit_simulator(options.sim_words),
+            round_batch=options.sim_round_batch,
+        )
+        seconds = ctx.clock() - started
+        ctx.emit(
+            "random_sim",
+            round_batch=options.sim_round_batch,
+            frames=self.frames,
+            rounds=report.rounds,
+            patterns=report.patterns,
+            dropped=report.dropped,
+            seconds=round(seconds, 6),
+            patterns_per_sec=round(report.patterns / seconds) if seconds else 0,
+        )
+        self.stats[Stage.SIMULATION].cpu_seconds += seconds
+        return report.alive, report.initial - report.dropped
+
+    # ------------------------------------------------------------------
+    # Phase 3: decide, one unit at a time.
+    # ------------------------------------------------------------------
+    def groups(self, survivors: np.ndarray) -> Iterator[_Group]:
+        """Every launch group, partitioned by the filter and inheritance."""
+        circuit = self.ctx.circuit
+        dffs = sink_reach(circuit).dffs
+        row_of = np.zeros(circuit.num_nodes, dtype=np.intp)
+        row_of[np.asarray(dffs, dtype=np.intp)] = np.arange(len(dffs))
+        for group in iter_launch_groups(
+            circuit, self.ctx.options.include_self_loops
+        ):
+            k = int(row_of[group.source])
+            bits = survivors[row_of[group.sinks], k // 64] >> np.uint64(k % 64)
+            alive = (bits & np.uint64(1)).astype(bool)
+            source = group.source
+            kept = [FFPair(source, s) for s in group.sinks[alive].tolist()]
+            dropped = [FFPair(source, s) for s in group.sinks[~alive].tolist()]
+            inherited: list[PairResult] = []
+            if self.inherit is not None:
+                inherited, kept = self.inherit.split(kept)
+            yield _Group(source, len(group.sinks), dropped, inherited, kept)
+
+    def decide(self, survivors: np.ndarray, survivor_count: int) -> None:
+        """Fold every group, deciding its fresh pairs in launch units.
+
+        The one unit-forming loop of the executor: fresh pairs queue up
+        across consecutive groups and are cut into launch-aligned units;
+        a serial run decides each unit in place, a parallel run submits
+        it to the pool (draining while the in-flight cap is exceeded).
+        """
+        ctx = self.ctx
+        options = ctx.options
+        groups: Iterator[_Group] | list[_Group] = self.groups(survivors)
+        to_decide = survivor_count
+        if self.inherit is not None:
+            # The serial/parallel choice needs the re-decide count.
+            groups = list(groups)
+            to_decide = sum(len(group.fresh) for group in groups)
+        workers = max(1, options.workers)
+        threshold = max(2, options.parallel_threshold)
+        parallel = workers > 1 and to_decide >= threshold
+        if workers > 1 and to_decide:
+            ctx.emit(
+                "decision_exec",
+                mode="parallel" if parallel else "serial-fallback",
+                workers=workers,
+                pairs=to_decide,
+                threshold=threshold,
+            )
+        pool: WorkStealingPool | None = None
+        if parallel:
+            size = _auto_chunk_size(to_decide, workers)
+            split: int | None = split_threshold(size)
+            max_in_flight = max(size, options.max_pairs_in_flight)
+            pool = self.spawn_pool()
+        else:
+            from repro.atpg.packed_implication import MAX_LANES
+
+            # One unit fills one packed closure (four lanes per pair).
+            size, split, max_in_flight = MAX_LANES // 4, None, 0
+        units = in_flight = 0
+        prepared = False
+
+        def drain(pool: WorkStealingPool) -> None:
+            nonlocal in_flight
+            done = pool.next_result()
+            in_flight -= self.fold_unit(done.decided, done.flags, done.stats)
+
+        def dispatch(unit: list[FFPair]) -> None:
+            nonlocal units, in_flight, prepared
+            units += 1
+            if pool is None:
+                if not prepared:
+                    self.decider.prepare(ctx)
+                    prepared = True
+                self.fold_unit(*decide_unit(self.decider, unit, ctx.clock))
+                return
+            while in_flight and in_flight + len(unit) > max_in_flight:
+                drain(pool)
+            pool.submit(units - 1, unit)
+            in_flight += len(unit)
+
+        pending: list[FFPair] = []
+        for group in groups:
+            self.open_group(group)
+            pending.extend(group.fresh)
+            if len(pending) >= size:
+                cut = launch_units(pending, size, split)
+                pending = cut.pop() if len(cut[-1]) < size else []
+                for unit in cut:
+                    dispatch(unit)
+            self.retire_groups()
+        for unit in launch_units(pending, size, split):
+            dispatch(unit)
+        while pool is not None and pool.pending:
+            drain(pool)
+        self.check_hazards()
+        self.retire_groups()
+
+        if prepared:
+            self.learned = getattr(self.decider, "learned_implications", 0)
+        if pool is not None:
+            ctx.emit(
+                "decision_queue",
+                workers=pool.workers,
+                units=units,
+                unit_pairs=size,
+                split=split,
+                max_pairs_in_flight=max_in_flight,
+                per_worker=pool.worker_summary(),
+            )
+            self.backplane = backplane_summary(pool)
+            if self.backplane is not None:
+                ctx.emit("backplane", **self.backplane)
+
+    def spawn_pool(self) -> WorkStealingPool:
+        """The run's worker pool, with any parent-computed shared table."""
+        ctx = self.ctx
+        decider = self.decider
+        expansion = ctx.expansion(getattr(decider, "frames", 2))
+        shared = None
+        shared_fn = getattr(decider, "prepare_shared", None)
+        if shared_fn is not None:
+            shared = shared_fn(ctx)
+        # The learned-implication count is the parent's: the table is
+        # computed once here and shipped to every worker.
+        if shared is not None:
+            from repro.atpg.learning import count_learned
+
+            self.learned = count_learned(shared)
+        return ctx.decision_pool(
+            decider, expansion, shared=shared,
+            publish=lambda: publish_backplane(ctx, expansion, shared),
+        )
+
+    def add_result(
+        self, result: PairResult, seconds: float, engine: str | None
+    ) -> None:
+        """Fold one settled pair: counters, trace event, progress."""
+        self.results.append(result)
+        stats = self.stats[result.stage]
+        if result.classification is Classification.MULTI_CYCLE:
+            stats.multi_cycle += 1
+        elif result.classification is Classification.SINGLE_CYCLE:
+            stats.single_cycle += 1
+        else:
+            stats.undecided += 1
+        stats.cpu_seconds += seconds
+        ctx = self.ctx
+        names = ctx.circuit.names
+        record: dict[str, Any] = {
+            "stage": result.stage.value,
+            "source": names[result.pair.source],
+            "sink": names[result.pair.sink],
+            "classification": result.classification.value,
+            "seconds": round(seconds, 6),
+        }
+        if engine is not None:
+            record["engine"] = engine
+        if result.cases:
+            record["cases"] = len(result.cases)
+            record["decisions"] = sum(c.decisions for c in result.cases)
+            record["backtracks"] = sum(c.backtracks for c in result.cases)
+        if result.metrics:
+            record.update(result.metrics)
+        ctx.emit("pair", **record)
+        if ctx.progress is not None:
+            ctx.progress(len(self.results), self.connected, record)
+
+    def open_group(self, group: _Group) -> None:
+        """Fold a group's settled pairs and queue it until decided."""
+        for pair in group.dropped:
+            self.add_result(
+                PairResult(pair, Classification.SINGLE_CYCLE, Stage.SIMULATION),
+                0.0, None,
+            )
+        for result in group.inherited:
+            self.add_result(result, 0.0, self.decider.name)
+        entry = [group.source, group.size, len(group.dropped), len(group.fresh)]
+        self.open_groups.append(entry)
+        self.pending_by_source[group.source] = entry
+
+    def fold_unit(
+        self,
+        decided: Sequence[tuple[PairResult, float]],
+        flags: Sequence[Disagreement],
+        stats: dict[str, int] | None,
+    ) -> int:
+        """Fold one decided unit, hazard-check it; returns its pair count."""
+        self.session = merge_session_stats(self.session, stats)
+        self.disagreements.extend(flags)
+        for result, seconds in decided:
+            self.add_result(result, seconds, self.decider.name)
+            self.pending_by_source[result.pair.source][3] -= 1
+        self.check_hazards()
+        self.retire_groups()
+        return len(decided)
+
+    def retire_groups(self) -> None:
+        """Emit ``launch_group`` for every leading group fully folded."""
+        names = self.ctx.circuit.names
+        while self.open_groups and not self.open_groups[0][3]:
+            source, size, dropped, _ = self.open_groups.popleft()
+            del self.pending_by_source[source]
+            self.ctx.emit(
+                "launch_group",
+                group_index=self.groups_folded,
+                groups_total=self.groups_total,
+                source=names[source],
+                pairs=size,
+                dropped=dropped,
+                folded=len(self.results),
+            )
+            self.groups_folded += 1
+
+    # ------------------------------------------------------------------
+    # Phase 4: hazard validation of every folded batch.
+    # ------------------------------------------------------------------
+    def check_hazards(self) -> None:
+        """Hazard-check the multi-cycle results folded since the last call.
+
+        Inherited pairs adopt their prior verdict when the prior run used
+        the same hazard options (see
+        :meth:`repro.core.incremental.Inheritance.prior_hazard`); every
+        other multi-cycle pair goes to the mode's checker.
+        """
+        ctx = self.ctx
         mode = ctx.options.hazard_check
-        state.hazard_mode = mode
         if mode == "off":
             return
-        survivors = [
-            r for r in state.results
-            if r.classification is Classification.MULTI_CYCLE
-        ]
-        state.hazard_checked = len(survivors)
         started = ctx.clock()
-        checker = make_hazard_checker(ctx, mode)
-        results = checker.check_pairs(survivors)
-        if mode == "exact":
-            results.sort(key=lambda v: (v.pair.source, v.pair.sink))
-            state.hazard_verdicts = results
-            state.hazard_exact = checker.summary()
-        flagged = sorted(
-            hazard_flagged(mode, results), key=lambda p: (p.source, p.sink)
-        )
-        state.hazard_flagged_pairs = flagged
-        state.hazard_flagged = len(flagged)
-        event: dict = dict(
+        batch = self.results[self.hazard_upto:]
+        self.hazard_upto = len(self.results)
+        candidates: list[PairResult] = []
+        for result in batch:
+            if result.classification is not Classification.MULTI_CYCLE:
+                continue
+            self.hazard_checked += 1
+            prior = (
+                self.inherit.prior_hazard(result.pair, mode)
+                if self.inherit is not None else None
+            )
+            if prior is None:
+                candidates.append(result)
+                continue
+            flagged, verdict = prior
+            if verdict is not None:
+                self.hazard_verdicts.append(verdict)
+            if flagged:
+                self.hazard_flagged.append(result.pair)
+        if candidates:
+            if self.hazard_checker is None:
+                self.hazard_checker = make_hazard_checker(ctx, mode)
+            checked = self.hazard_checker.check_pairs(candidates)
+            if mode == "exact":
+                self.hazard_verdicts.extend(checked)
+            self.hazard_flagged.extend(hazard_flagged(mode, checked))
+        self.phases["hazard"] += ctx.clock() - started
+
+    def hazard_totals(self) -> None:
+        """Close out the run's hazard totals and emit ``hazard_stage``."""
+        mode = self.ctx.options.hazard_check
+        if mode == "off":
+            return
+        self.hazard_flagged.sort(key=_pair_key)
+        checker = self.hazard_checker
+        event: dict[str, Any] = dict(
             mode=mode,
-            checked=state.hazard_checked,
-            flagged=state.hazard_flagged,
+            checked=self.hazard_checked,
+            flagged=len(self.hazard_flagged),
             lanes=getattr(checker, "lanes_evaluated", 0),
             batches=getattr(checker, "batches_evaluated", 0),
-            seconds=round(ctx.clock() - started, 6),
+            seconds=round(self.phases["hazard"], 6),
         )
-        if state.hazard_exact is not None:
-            event["exact"] = state.hazard_exact
-        ctx.emit("hazard_stage", **event)
+        if mode == "exact":
+            from repro.analysis.hazard_exact import empty_exact_summary
 
+            self.hazard_verdicts.sort(key=_pair_key)
+            # No checked pair at all is a trivially complete pass.
+            self.hazard_exact = (
+                checker.summary() if checker is not None
+                else empty_exact_summary()
+            )
+            event["exact"] = self.hazard_exact
+        self.ctx.emit("hazard_stage", **event)
 
-class Pipeline:
-    """A staged run over one circuit, producing a :class:`DetectionResult`."""
-
-    def __init__(self, stages: Sequence[PipelineStage]) -> None:
-        self.stages = list(stages)
-
-    def run(self, ctx: AnalysisContext) -> DetectionResult:
-        from repro.store.runtime import active_store
-
+    # ------------------------------------------------------------------
+    # The whole fold.
+    # ------------------------------------------------------------------
+    def run(self) -> None:
+        ctx = self.ctx
+        options = ctx.options
+        if options.hazard_check not in HAZARD_MODES:
+            raise ValueError(
+                f"unknown hazard_check mode {options.hazard_check!r}"
+            )
         started = ctx.clock()
-        state = PipelineState()
-        store = active_store()
-        store_before = store.stats() if store is not None else None
-        ctx.emit(
-            "run_start",
-            circuit=ctx.circuit.name,
-            engine=ctx.options.search_engine,
-            workers=ctx.options.workers,
-            stages=[stage.name for stage in self.stages],
+        alive = self.topology()
+        self.phases["topology"] = ctx.clock() - started
+        started = ctx.clock()
+        survivors, survivor_count = self.random_sim(alive)
+        self.phases["random-sim"] = ctx.clock() - started
+        started = ctx.clock()
+        if self.inherit is not None:
+            self.inherit.prepare(ctx, self.frames)
+        self.decide(survivors, survivor_count)
+        self.phases["decide"] = (
+            ctx.clock() - started - self.phases["hazard"]
         )
-        try:
-            for stage in self.stages:
-                stage_started = ctx.clock()
-                pairs_in = len(state.pairs)
-                ctx.emit("stage_start", stage=stage.name, pairs_in=pairs_in)
-                stage.run(ctx, state)
-                ctx.emit(
-                    "stage_end",
-                    stage=stage.name,
-                    pairs_in=pairs_in,
-                    pairs_out=len(state.pairs),
-                    results=len(state.results),
-                    seconds=round(ctx.clock() - stage_started, 6),
-                )
-        finally:
-            # The persistent worker pool is scoped to one run.
-            ctx.close()
-        state.results.sort(key=lambda r: (r.pair.source, r.pair.sink))
-        cache_stats: dict[str, int] | None = None
-        if store is not None and store_before is not None:
-            cache_stats = {
-                key: value - store_before.get(key, 0)
-                for key, value in store.stats().items()
-            }
-            ctx.emit("cache", dir=str(store.root), **cache_stats)
-        result = DetectionResult(
-            circuit=ctx.circuit,
-            connected_pairs=state.connected_pairs,
-            pair_results=state.results,
-            stats=state.stats,
-            total_seconds=ctx.clock() - started,
-            learned_implications=state.learned_implications,
-            engine=state.engine,
-            disagreements=state.disagreements,
-            decision_session=state.session,
-            implication_db=state.implication_db,
-            packed_implication=state.packed_implication,
-            hazard_mode=state.hazard_mode,
-            hazard_checked=state.hazard_checked,
-            hazard_flagged=state.hazard_flagged,
-            hazard_flagged_pairs=state.hazard_flagged_pairs,
-            hazard_verdicts=state.hazard_verdicts,
-            hazard_exact=state.hazard_exact,
-            cache=cache_stats,
-            incremental=state.incremental,
-            backplane=state.backplane,
-        )
-        ctx.emit(
-            "run_end",
-            circuit=ctx.circuit.name,
-            engine=state.engine,
-            connected_pairs=state.connected_pairs,
-            multi_cycle=len(result.multi_cycle_pairs),
-            single_cycle=len(result.single_cycle_pairs),
-            undecided=len(result.undecided_pairs),
-            disagreements=len(state.disagreements),
-            seconds=round(result.total_seconds, 6),
-        )
-        return result
+
+        engine = self.decider.name
+        db_info = getattr(self.decider, "db_info", None)
+        if db_info is not None:
+            ctx.emit("implication_db", engine=engine, **db_info)
+        if self.session is not None:
+            ctx.emit("decision_session", engine=engine, **self.session)
+        packed = packed_summary(self.session)
+        if packed is not None:
+            ctx.emit(
+                "packed_implication",
+                engine=engine,
+                mode=options.packed_implication,
+                **packed,
+            )
+        self.disagreements.sort(key=_pair_key)
+        names = ctx.circuit.names
+        for disagreement in self.disagreements:
+            ctx.emit(
+                "disagreement",
+                source=names[disagreement.pair.source],
+                sink=names[disagreement.pair.sink],
+                **{
+                    disagreement.primary_engine: disagreement.primary.value,
+                    disagreement.secondary_engine: disagreement.secondary.value,
+                },
+            )
+        self.hazard_totals()
+        if self.inherit is not None:
+            ctx.emit(
+                "incremental",
+                fingerprint=self.inherit.fingerprint[:16],
+                **self.inherit.summary(),
+            )
 
 
-def default_pipeline(decider: str | PairDecider | None = None) -> Pipeline:
-    """The paper's three-stage flow with a pluggable decision engine,
-    followed by the (default-off) hazard-validation stage."""
-    return Pipeline([
-        TopologyStage(),
-        RandomFilterStage(),
-        DecisionStage(decider),
-        HazardStage(),
-    ])
+def detect(
+    ctx: AnalysisContext,
+    decider: str | PairDecider | None = None,
+    frames: int = 2,
+    inherit: Inheritance | None = None,
+) -> DetectionResult:
+    """Run the detection fold over ``ctx.circuit``.
+
+    ``decider`` is a registry name or an unprepared decider instance
+    (default: ``options.search_engine``).  ``frames=2`` is the MC
+    condition; larger values give the k-cycle variant (pass the matching
+    k-frame decider).  ``inherit`` makes the run incremental.  This is
+    also the run envelope: ``run_start``/``run_end`` events (``run_end``
+    carries the per-phase seconds), artifact-store counter deltas, the
+    pair-ordered result, and the worker pool's shutdown.
+    """
+    from repro.store.runtime import active_store
+
+    if frames < 2:
+        raise ValueError("detection needs at least 2 frames")
+    if decider is None:
+        decider = ctx.options.search_engine
+    if isinstance(decider, str):
+        decider = create_decider(decider)
+    started = ctx.clock()
+    store = active_store()
+    store_before = store.stats() if store is not None else None
+    ctx.emit(
+        "run_start",
+        circuit=ctx.circuit.name,
+        engine=ctx.options.search_engine,
+        workers=ctx.options.workers,
+    )
+    fold = _Fold(ctx, decider, frames, inherit)
+    try:
+        fold.run()
+    finally:
+        # The persistent worker pool is scoped to one run.
+        ctx.close()
+    fold.results.sort(key=_pair_key)
+    cache_stats: dict[str, int] | None = None
+    if store is not None and store_before is not None:
+        cache_stats = {
+            key: value - store_before.get(key, 0)
+            for key, value in store.stats().items()
+        }
+        ctx.emit("cache", dir=str(store.root), **cache_stats)
+    result = DetectionResult(
+        circuit=ctx.circuit,
+        connected_pairs=fold.connected,
+        pair_results=fold.results,
+        stats=fold.stats,
+        total_seconds=ctx.clock() - started,
+        learned_implications=fold.learned,
+        engine=decider.name,
+        disagreements=fold.disagreements,
+        decision_session=fold.session,
+        implication_db=getattr(decider, "db_info", None),
+        packed_implication=packed_summary(fold.session),
+        hazard_mode=ctx.options.hazard_check,
+        hazard_checked=fold.hazard_checked,
+        hazard_flagged=len(fold.hazard_flagged),
+        hazard_flagged_pairs=fold.hazard_flagged,
+        hazard_verdicts=fold.hazard_verdicts,
+        hazard_exact=fold.hazard_exact,
+        cache=cache_stats,
+        incremental=inherit.summary() if inherit is not None else None,
+        backplane=fold.backplane,
+    )
+    ctx.emit(
+        "run_end",
+        circuit=ctx.circuit.name,
+        engine=decider.name,
+        connected_pairs=fold.connected,
+        multi_cycle=len(result.multi_cycle_pairs),
+        single_cycle=len(result.single_cycle_pairs),
+        undecided=len(result.undecided_pairs),
+        disagreements=len(fold.disagreements),
+        phases={name: round(s, 6) for name, s in fold.phases.items()},
+        seconds=round(result.total_seconds, 6),
+    )
+    return result

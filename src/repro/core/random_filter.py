@@ -43,7 +43,7 @@ object.  :func:`random_filter` keeps the original pair-list strategy
 (one bool per input pair).  :func:`random_filter_packed` runs the very
 same rounds over a *packed pair matrix* (bit ``k`` of sink row ``j`` =
 pair ``(dffs[k], dffs[j])``), never materializing a pair list — the
-bounded-memory representation the streaming pipeline folds launch group
+bounded-memory representation the detection fold reads launch group
 by launch group.  Because the engine is shared, the two executions draw
 identical random words, stop at the identical quiet round, and drop the
 identical pair set: a pair is dropped iff its first simulated hit round
@@ -67,7 +67,7 @@ from repro.logic.bitsim import BitSimulator
 ROUND_BATCH = 8
 
 #: sink rows evaluated per block in the packed drop check (bounds the
-#: broadcast temporary at ``block * num_dffs * words`` uint64 words).
+#: unpacked temporary at ``block * num_dffs`` bytes plus its alive pairs).
 _PACKED_BLOCK_ROWS = 256
 
 
@@ -163,11 +163,11 @@ class _PairListDrops:
 class _PackedDrops:
     """Packed pair-matrix representation (sink rows × source bits).
 
-    One round's hit relation ``H[j, k] = ∃ pattern: changes[j] &
-    toggles[k]`` is evaluated in sink-row blocks with a broadcast AND
-    over the packed pattern words, repacked to source bits and cleared
-    from the alive matrix.  Only rows with a surviving bit are visited,
-    so the work shrinks as pairs die.
+    Each round visits only the alive pairs: a block of sink rows is
+    unpacked to its set ``(sink, source)`` bits, each pair is hit iff
+    some pattern has ``changes[sink] & toggles[source]``, and the hit
+    bits are cleared before the block is repacked.  The work follows the
+    alive pair count, never the full sinks × sources product.
     """
 
     def __init__(self, alive: np.ndarray, block_rows: int = _PACKED_BLOCK_ROWS) -> None:
@@ -183,23 +183,23 @@ class _PackedDrops:
         sink_changes: np.ndarray,
         window: slice,
     ) -> bool:
-        toggles = np.ascontiguousarray(source_toggles[:, window])
+        toggles = source_toggles[:, window]
         changes = sink_changes[:, window]
-        words = self.alive.shape[1]
         rows = np.flatnonzero(self.alive.any(axis=1))
         dropped = False
         for b0 in range(0, len(rows), self.block_rows):
             blk = rows[b0: b0 + self.block_rows]
-            hits = (
-                changes[blk][:, None, :] & toggles[None, :, :]
-            ).any(axis=2)
-            packed = np.packbits(hits, axis=1, bitorder="little")
-            padded = np.zeros((len(blk), words * 8), dtype=np.uint8)
-            padded[:, : packed.shape[1]] = packed
-            hit_words = padded.view(np.uint64)
-            if (hit_words & self.alive[blk]).any():
+            bits = np.unpackbits(
+                self.alive[blk].view(np.uint8), axis=1, bitorder="little"
+            )
+            sink, source = np.nonzero(bits)
+            hits = (changes[blk[sink]] & toggles[source]).any(axis=1)
+            if hits.any():
+                bits[sink[hits], source[hits]] = 0
+                self.alive[blk] = np.packbits(
+                    bits, axis=1, bitorder="little"
+                ).view(np.uint64)
                 dropped = True
-            self.alive[blk] &= ~hit_words
         return dropped
 
 
@@ -398,7 +398,7 @@ def random_filter_packed(
     plan: str = "compiled",
     round_batch: int = ROUND_BATCH,
 ) -> PackedFilterReport:
-    """The random filter over a packed pair matrix (streaming pipeline).
+    """The random filter over a packed pair matrix (the detection fold).
 
     ``alive`` is the sink-major connected-pair matrix (bit ``k`` of row
     ``j`` = pair ``(dffs[k], dffs[j])``, e.g. the

@@ -1,24 +1,33 @@
 """Structured trace layer for the pair-analysis pipeline.
 
 Every pipeline run can emit a stream of :class:`TraceEvent` records — one
-per stage boundary and one per analyzed FF pair — replacing the ad-hoc
+per run phase and one per analyzed FF pair — replacing the ad-hoc
 ``time.perf_counter()`` bookkeeping the detector used to carry inline.
 Events are plain dictionaries with a fixed envelope::
 
-    {"v": 1, "event": "stage_end", "t": 0.0123, "stage": "random-sim",
-     "pairs_in": 9, "pairs_out": 5, "seconds": 0.0119}
+    {"v": 1, "event": "random_sim", "t": 0.0123, "rounds": 8,
+     "dropped": 4, "seconds": 0.0119, ...}
 
 ``v`` is the schema version, ``event`` the record type and ``t`` the time
 offset (in seconds, by the tracer's clock) since the tracer was created.
-Event types emitted by the pipeline:
+Event types emitted by the detection fold (:mod:`repro.core.pipeline`):
 
 ``run_start`` / ``run_end``
-    One pair per pipeline run; ``run_end`` carries the summary counts.
-``stage_start`` / ``stage_end``
-    One pair per pipeline stage, with pair counts in/out and seconds.
+    One pair per run; ``run_end`` carries the summary counts and
+    ``phases``, the seconds of topology, random-sim, decide and hazard.
+``stream_topology``
+    Launch-group and connected-pair totals, and whether the packed
+    reachability matrix was built in row blocks.
+``random_sim``
+    The random filter's rounds, patterns, dropped pairs and throughput.
 ``pair``
     One per analyzed FF pair: source/sink names, classification, the
     stage that settled it and the decision-search effort.
+``launch_group``
+    One per launch group once all its pairs are folded:
+    ``group_index``/``groups_total``, the launching FF, the group's
+    pair count, how many the random filter dropped, and ``folded`` —
+    the number of pair results settled so far (progress).
 ``disagreement``
     Emitted by the cross-check decider when two engines disagree.
 ``hazard_stage``
@@ -35,16 +44,8 @@ Event types emitted by the pipeline:
     lanes resolved without the scalar engine, scalar fallbacks, and the
     closure/visit/microsecond counters of the packed engine.
 
-The streaming pipeline (:mod:`repro.core.streaming`) additionally emits:
-
-``stream_topology``
-    One per streaming run: launch-group and connected-pair totals, and
-    whether the packed reachability matrix was built in row blocks.
-``launch_group``
-    One per launch group as it is folded into the result:
-    ``group_index``/``groups_total``, the launching FF, the group's
-    pair count, how many the random filter dropped, and ``folded`` —
-    the number of pair results settled so far (streaming progress).
+The Condition-2 extension (:mod:`repro.core.extended`) brackets its own
+pass with ``stage_start`` / ``stage_end`` events.
 
 A tracer writes each record to an optional JSON-lines sink as soon as it
 is emitted (crash-safe for long runs) and keeps the records in memory

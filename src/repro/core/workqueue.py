@@ -5,7 +5,7 @@ The decision stage used to shard surviving pairs into static chunks and
 group) serialized the tail of every run.  Here the executor is a plain
 work-stealing queue instead:
 
-* ``workers`` persistent processes are spawned once per pipeline run;
+* ``workers`` persistent processes are spawned once per detection run;
   each builds its :class:`~repro.core.pipeline.AnalysisContext` and
   prepares its decider exactly once (the initializer arguments ship the
   circuit, options, unprepared decider, shared expansion and any
@@ -17,9 +17,10 @@ work-stealing queue instead:
   thread, unbounded buffer) so neither bulk submission nor bulky
   results can wedge on raw pipe capacity;
 * results return on a shared result queue tagged with the unit index,
-  the worker id and the unit's wall seconds; the caller merges them in
-  unit order, which keeps the merged output byte-identical to a serial
-  run regardless of which worker settled which unit.
+  the worker id and the unit's wall seconds; the caller folds them as
+  they arrive and orders the merged records by pair, which keeps them
+  byte-identical to a serial run regardless of which worker settled
+  which unit.
 
 Unit formation (:func:`launch_units`) never splits a launch group below
 ``split`` pairs, preserving the decision session's launch-prefix reuse
@@ -41,7 +42,7 @@ import multiprocessing as mp
 import time
 import traceback
 from dataclasses import replace
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.circuit.topology import FFPair
 
@@ -134,14 +135,19 @@ def launch_units(
     return units
 
 
-def _decide_unit(decider: Any, pairs: Sequence[FFPair]) -> tuple:
-    """Settle one unit on a prepared decider, reporting counter deltas.
+def decide_unit(
+    decider: Any,
+    pairs: Sequence[FFPair],
+    clock: Callable[[], float] = time.perf_counter,
+) -> tuple[list[Any], list[Any], dict[str, int] | None]:
+    """Settle one unit on a prepared decider: ``(decided, flags, stats)``.
 
-    Shared by the queue workers and any in-process caller; the decider
+    Shared by the queue workers and the serial executor; the decider
     persists across units, so disagreements and session counters are
     sliced/differenced against the pre-unit snapshot to keep the merge
     placement-independent (``trail_high_water`` is a running maximum and
-    is reported absolutely, merged by max).
+    is reported absolutely, merged by max).  ``clock`` times deciders
+    without ``decide_group``.
     """
     flags_before = len(getattr(decider, "disagreements", ()))
     stats_fn = getattr(decider, "session_stats", None)
@@ -152,9 +158,9 @@ def _decide_unit(decider: Any, pairs: Sequence[FFPair]) -> tuple:
     else:
         decided = []
         for pair in pairs:
-            started = time.perf_counter()
+            started = clock()
             result = decider.decide(pair)
-            decided.append((result, time.perf_counter() - started))
+            decided.append((result, clock() - started))
     flags = list(getattr(decider, "disagreements", ()))[flags_before:]
     stats = None
     if stats_fn is not None:
@@ -242,7 +248,7 @@ def _worker_main(
             return
         started = time.perf_counter()
         try:
-            decided, flags, stats = _decide_unit(decider, task.pairs)
+            decided, flags, stats = decide_unit(decider, task.pairs)
         except Exception:
             results.put(_UnitFailure(worker_id, traceback.format_exc()))
             return
@@ -255,11 +261,10 @@ def _worker_main(
 class WorkStealingPool:
     """Persistent decision workers pulling from one shared task queue.
 
-    Created once per pipeline run (lazily, by
+    Created once per detection run (lazily, by
     :meth:`~repro.core.pipeline.AnalysisContext.decision_pool`).  Units
     are submitted with :meth:`submit` and collected — in completion
-    order — with :meth:`next_result`; :meth:`map_units` wraps the two
-    for callers that want the whole batch back in unit order.  The pool
+    order — with :meth:`next_result`.  The pool
     records per-unit ``(worker, seconds)`` telemetry for the
     ``decision_queue`` trace event.
     """
@@ -353,16 +358,6 @@ class WorkStealingPool:
             "seconds": round(outcome.seconds, 6),
         })
         return outcome
-
-    def map_units(self, units: Sequence[Sequence[FFPair]]) -> list[UnitResult]:
-        """Run every unit; results returned in unit (submission) order."""
-        for index, unit in enumerate(units):
-            self.submit(index, unit)
-        collected: dict[int, UnitResult] = {}
-        while len(collected) < len(units):
-            result = self.next_result()
-            collected[result.index] = result
-        return [collected[index] for index in range(len(units))]
 
     def wait_ready(self, timeout: float = 30.0) -> list[dict[str, Any]]:
         """Collect every worker's prepare report (best-effort, bounded).

@@ -52,6 +52,7 @@ from repro.core.ternary_hazard import ternary_eval
 from repro.logic.simulator import evaluate_gate
 from repro.logic.values import X
 from repro.sta.delays import GateDelays
+from tests.oracles.reference_detect import reference_detect
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -233,14 +234,17 @@ def _verdict_fingerprint(detection):
 @given(seeds)
 @settings(max_examples=10)
 def test_streaming_exact_matches_staged(seed):
+    """The fold's per-batch exact pass matches one check per pair."""
     circuit = random_sequential_circuit(seed, max_dffs=6, max_gates=20)
-    staged = _detect(circuit, hazard_check="exact", streaming="off")
-    streamed = _detect(circuit, hazard_check="exact", streaming="on")
-    assert _verdict_fingerprint(staged) == _verdict_fingerprint(streamed)
-    assert staged.hazard_exact == streamed.hazard_exact
-    assert staged.hazard_flagged_pairs == streamed.hazard_flagged_pairs
-    assert json.dumps(staged.pair_records(), sort_keys=True) == json.dumps(
-        streamed.pair_records(), sort_keys=True
+    folded = _detect(circuit, hazard_check="exact")
+    reference = reference_detect(
+        circuit, DetectorOptions(hazard_check="exact")
+    )
+    assert _verdict_fingerprint(folded) == _verdict_fingerprint(reference)
+    assert folded.hazard_exact == reference.hazard_exact
+    assert folded.hazard_flagged_pairs == reference.hazard_flagged_pairs
+    assert json.dumps(folded.pair_records(), sort_keys=True) == json.dumps(
+        reference.pair_records(), sort_keys=True
     )
 
 

@@ -2,8 +2,8 @@
 
 The contract: after any single-gate ECO edit, merging inherited verdicts
 with re-decided ones yields ``pair_records`` *byte-identical* to a fresh
-full run of the edited netlist — against both the staged and the
-streaming execution paths.  Hypothesis drives random circuits and random
+full run of the edited netlist, and to the per-pair reference detection
+of :mod:`tests.oracles.reference_detect`.  Hypothesis drives random circuits and random
 edits (gate-type flips, fanin rewires, DFF insertions) at the property.
 """
 
@@ -21,7 +21,6 @@ from repro.circuit.structhash import (
 )
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.incremental import (
-    IncrementalStage,
     incremental_detect,
     load_result_bundle,
     options_fingerprint,
@@ -29,7 +28,9 @@ from repro.core.incremental import (
     save_result_bundle,
 )
 from repro.core.result import Stage
+from repro.core.trace import Tracer
 from repro.store import ArtifactStore
+from tests.oracles.reference_detect import reference_detect
 from tests.strategies import random_sequential_circuit, seeds
 
 _FLIPS = {
@@ -142,15 +143,10 @@ def test_incremental_matches_streaming_run_after_eco(seed, kind):
     edited = eco_edit(base, seed, kind)
     assume(edited is not None)
     options = DetectorOptions()
-    bundle = result_bundle(
-        MultiCycleDetector(base, DetectorOptions(streaming="on")).run(),
-        options,
-    )
+    bundle = result_bundle(reference_detect(base, options), options)
     incremental = incremental_detect(edited, options, bundle)
-    streamed = MultiCycleDetector(
-        _clone(edited), DetectorOptions(streaming="on")
-    ).run()
-    assert _records(incremental) == _records(streamed)
+    reference = reference_detect(_clone(edited), options)
+    assert _records(incremental) == _records(reference)
 
 
 @given(seeds)
@@ -272,5 +268,16 @@ def test_missing_bundle_degrades_to_full_run(fig1):
     assert incremental.incremental["inherited"] == 0
 
 
-def test_incremental_stage_name():
-    assert IncrementalStage({}).name == "incremental"
+
+def test_nothing_to_re_decide_spawns_no_pool(fig1):
+    """Every survivor inherited: a workers>1 run never starts the pool."""
+    base = fig1
+    options = DetectorOptions(workers=2, parallel_threshold=2)
+    bundle = result_bundle(MultiCycleDetector(base, options).run(), options)
+    tracer = Tracer()
+    rerun = incremental_detect(_clone(base), options, bundle, tracer=tracer)
+    assert rerun.incremental["re_decided"] == 0
+    assert rerun.incremental["inherited"] > 0
+    assert tracer.select("decision_exec") == []
+    assert tracer.select("decision_queue") == []
+    assert rerun.backplane is None

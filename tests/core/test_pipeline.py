@@ -1,11 +1,11 @@
-"""Tests for the staged pipeline: stages, trace layer, parallel executor.
+"""Tests for the detection executor: phases, trace layer, parallel decide.
 
-The pipeline is the refactored detection core (`repro.core.pipeline`):
-`MultiCycleDetector` is now a thin shell over
-``default_pipeline().run(AnalysisContext(...))``, so these tests exercise
-the machinery every detector rides on — the stage protocol, the decider
-registry, the JSONL trace schema, and the worker-sharded decision stage
-whose results must be byte-identical to a serial run.
+The executor is the launch-group fold of `repro.core.pipeline`:
+`MultiCycleDetector` is a thin shell over ``detect(AnalysisContext(...))``,
+so these tests exercise the machinery every detector rides on — the
+phase timings, the decider registry, the JSONL trace schema, and the
+worker-sharded decide whose results must be byte-identical to a serial
+run.
 """
 
 from __future__ import annotations
@@ -23,14 +23,10 @@ from repro.core.deciders import (
 )
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.pipeline import (
+    PHASES,
     AnalysisContext,
-    DecisionStage,
-    Pipeline,
-    TopologyStage,
     _auto_chunk_size,
-    _chunk_pairs,
-    _split_chunks,
-    default_pipeline,
+    detect,
 )
 from repro.core.result import Classification, Stage
 from repro.core.trace import TRACE_SCHEMA_VERSION, Tracer, open_trace, read_trace
@@ -105,10 +101,12 @@ class TestPipelineStages:
         events = [r["event"] for r in tracer.events]
         assert events[0] == "run_start"
         assert events[-1] == "run_end"
-        starts = [r["stage"] for r in tracer.select("stage_start")]
-        ends = [r["stage"] for r in tracer.select("stage_end")]
-        assert starts == ["topology", "random-sim", "decide", "hazard"]
-        assert ends == starts
+        (end,) = tracer.select("run_end")
+        assert list(end["phases"]) == list(PHASES) == [
+            "topology", "random-sim", "decide", "hazard",
+        ]
+        assert all(seconds >= 0 for seconds in end["phases"].values())
+        assert sum(end["phases"].values()) <= end["seconds"] + 1e-3
         # One pair event per connected pair, across all stages.
         assert len(tracer.select("pair")) == result.connected_pairs
 
@@ -129,7 +127,7 @@ class TestPipelineStages:
                 clock=lambda: 0.0,
                 tracer=tracer,
             )
-            default_pipeline().run(ctx)
+            detect(ctx)
             return [(r["event"], r["t"]) for r in tracer.events]
 
         assert run_with_fake_clock() == run_with_fake_clock()
@@ -152,16 +150,14 @@ class TestPipelineStages:
         assert result.multi_cycle_pair_names() == baseline.multi_cycle_pair_names()
 
     def test_custom_stage_composition(self, fig1):
-        # A pipeline without the random filter still classifies correctly.
-        pipeline = Pipeline([TopologyStage(), DecisionStage()])
-        ctx = AnalysisContext(fig1, DetectorOptions())
-        result = pipeline.run(ctx)
+        # A caller-built decider instance runs the same fold.
+        ctx = AnalysisContext(fig1, DetectorOptions(use_random_sim=False))
+        result = detect(ctx, create_decider("dalg"))
         baseline = MultiCycleDetector(fig1).run()
         assert result.multi_cycle_pair_names() == baseline.multi_cycle_pair_names()
 
     def test_decision_stage_engine_override(self, fig1):
-        pipeline = Pipeline([TopologyStage(), DecisionStage("sat")])
-        result = pipeline.run(AnalysisContext(fig1, DetectorOptions()))
+        result = detect(AnalysisContext(fig1, DetectorOptions()), "sat")
         assert result.engine == "sat"
         baseline = MultiCycleDetector(fig1).run()
         assert result.multi_cycle_pair_names() == baseline.multi_cycle_pair_names()
@@ -194,26 +190,8 @@ class TestExpansionCache:
 # Parallel executor
 # ----------------------------------------------------------------------
 class TestParallelExecutor:
-    def test_split_chunks_partition(self):
-        pairs = list(range(10))
-        chunks = _split_chunks(pairs, 4)
-        assert [x for chunk in chunks for x in chunk] == pairs
-        assert all(chunk for chunk in chunks)
-        assert len(chunks) <= 4
-
-    def test_split_chunks_more_workers_than_pairs(self):
-        chunks = _split_chunks([1, 2], 8)
-        assert [x for chunk in chunks for x in chunk] == [1, 2]
-
-    def test_chunk_pairs_partition(self):
-        pairs = list(range(11))
-        chunks = _chunk_pairs(pairs, 4)
-        assert [x for chunk in chunks for x in chunk] == pairs
-        assert [len(chunk) for chunk in chunks] == [4, 4, 3]
-        assert _chunk_pairs(pairs, 0) == [[p] for p in pairs]
-
     def test_auto_chunk_size_bounds(self):
-        # ~4 chunks per worker, never below 1, capped at 64.
+        # ~4 units per worker, never below 1, capped at 64.
         assert _auto_chunk_size(1, 4) == 1
         assert _auto_chunk_size(160, 4) == 10
         assert _auto_chunk_size(100_000, 4) == 64
@@ -291,7 +269,7 @@ class TestParallelExecutor:
         ctx = AnalysisContext(
             fig1, DetectorOptions(workers=2, parallel_threshold=2)
         )
-        default_pipeline().run(ctx)
+        detect(ctx)
         assert ctx._pool is None
 
 
@@ -356,9 +334,10 @@ class TestHazardStage:
         assert record["mode"] == "ternary"
         assert record["checked"] >= record["flagged"] >= 0
         assert record["lanes"] > 0
-        assert [r["stage"] for r in tracer.select("stage_start")] == [
-            "topology", "random-sim", "decide", "hazard",
-        ]
+        (end,) = tracer.select("run_end")
+        assert end["phases"]["hazard"] == pytest.approx(
+            record["seconds"], abs=1e-5
+        )
 
     @pytest.mark.parametrize("mode", ["sensitize", "cosensitize"])
     def test_sensitization_modes(self, fig3, mode):

@@ -144,7 +144,7 @@ def test_mismatched_simulator_rejected(fig1):
 
 
 def _packed_alive(circuit, include_self_loops=True):
-    """The connected-pair matrix the streaming pipeline filters over."""
+    """The connected-pair matrix the detection fold filters over."""
     import numpy as np
 
     from repro.circuit.topology import sink_reach
@@ -194,6 +194,26 @@ def test_packed_filter_matches_pair_list(seed):
         assert _packed_survivor_pairs(reach, packed) == {
             (p.source, p.sink) for p in reference.survivors
         }
+
+
+def test_packed_filter_matches_pair_list_across_words_and_blocks():
+    """More than 64 FFs (two words per row) and many small row blocks."""
+    from repro.bench_gen.suite import suite
+    from repro.core.random_filter import _PackedDrops, _run_rounds
+
+    circuit = suite("small")[-1]
+    assert len(circuit.dffs) > 64
+    pairs = connected_ff_pairs(circuit)
+    reference = random_filter(circuit, pairs)
+    reach, alive = _packed_alive(circuit)
+    for block_rows in (1, 5, 256):
+        strategy = _PackedDrops(alive.copy(), block_rows=block_rows)
+        rounds, _ = _run_rounds(
+            circuit, strategy, 2, 4, 256, 2002, None, "compiled", 8
+        )
+        assert rounds == reference.rounds
+        survivors = _packed_survivor_pairs(reach, strategy)
+        assert survivors == {(p.source, p.sink) for p in reference.survivors}
 
 
 def test_packed_filter_matches_k_frame_variant(fig1):

@@ -1,13 +1,14 @@
-"""Streaming launch-group pipeline: differential equality with the staged path.
+"""The launch-group fold against the per-pair reference detection.
 
-The streaming pipeline's contract is *byte identity*: for any circuit
-and any option combination, ``pair_records()`` and every counter of the
-:class:`~repro.core.result.DetectionResult` must match the staged
-four-stage pipeline exactly — only peak memory and the trace shape may
-differ.  The tests here hold that equality over random circuits
-(including the single-FF and self-loop-only degenerate shapes), both
-self-loop modes, parallel workers, hazard validation and the k-cycle
-variant.
+The fold's contract is *record identity*: for any circuit and any option
+combination, ``pair_records()`` and every classification and hazard
+counter of the :class:`~repro.core.result.DetectionResult` must match
+the stage-by-stage per-pair reference of
+:mod:`tests.oracles.reference_detect` exactly — whatever the launch
+grouping, unit cut or worker count.  The tests here hold that equality
+over random circuits (including the single-FF and self-loop-only
+degenerate shapes), both self-loop modes, parallel workers, hazard
+validation and the k-cycle variant.
 """
 
 from __future__ import annotations
@@ -18,18 +19,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.circuit.builder import CircuitBuilder
-from repro.circuit.library import fig1_circuit, s27
+from repro.circuit.library import s27
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.kcycle import KCycleDetector
-from repro.core.pipeline import AnalysisContext
-from repro.core.streaming import (
-    STREAMING_AUTO_DFFS,
-    StreamingStage,
-    streaming_enabled,
-    streaming_pipeline,
-)
+from repro.core.kcycle import KCycleDecider, KCycleDetector
+from repro.core.pipeline import PHASES, AnalysisContext, detect
+from repro.core.result import Stage
 from repro.core.trace import Tracer
 
+from tests.oracles.reference_detect import reference_detect
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -48,7 +45,6 @@ def _fingerprint(result):
             stage.name: (s.multi_cycle, s.single_cycle, s.undecided)
             for stage, s in result.stats.items()
         },
-        result.decision_session,
         result.learned_implications,
         result.engine,
         result.hazard_mode,
@@ -63,9 +59,9 @@ def _fingerprint(result):
 
 
 def _assert_identical(circuit, **kw):
-    staged = _fingerprint(_run(circuit, streaming="off", **kw))
-    streamed = _fingerprint(_run(circuit, streaming="on", **kw))
-    assert staged == streamed
+    folded = _fingerprint(_run(circuit, **kw))
+    reference = _fingerprint(reference_detect(circuit, DetectorOptions(**kw)))
+    assert folded == reference
 
 
 @given(seeds)
@@ -120,7 +116,7 @@ def test_single_ff_self_loop_circuit():
     circuit = builder.build()
     _assert_identical(circuit)
     _assert_identical(circuit, include_self_loops=False)
-    result = _run(circuit, streaming="on", include_self_loops=False)
+    result = _run(circuit, include_self_loops=False)
     assert result.connected_pairs == 0
     assert result.pair_results == []
 
@@ -143,29 +139,35 @@ def test_self_loop_only_circuit():
 def test_kcycle_streaming_matches_staged():
     circuit = random_sequential_circuit(7, max_dffs=6, max_gates=24)
     for k in (2, 3, 4):
-        staged = KCycleDetector(circuit, k, streaming="off").run()
-        streamed = KCycleDetector(circuit, k, streaming="on").run()
-        assert [
-            (r.pair, r.classification) for r in staged.pair_results
-        ] == [(r.pair, r.classification) for r in streamed.pair_results]
-        assert staged.connected_pairs == streamed.connected_pairs
-        assert staged.sim_dropped == streamed.sim_dropped
+        for workers in (1, 2):
+            folded = KCycleDetector(
+                circuit, k, workers=workers, parallel_threshold=2
+            ).run()
+            reference = reference_detect(
+                circuit, frames=k, decider=KCycleDecider(k)
+            )
+            assert [
+                (r.pair, r.classification) for r in folded.pair_results
+            ] == [(r.pair, r.classification) for r in reference.pair_results]
+            assert folded.connected_pairs == reference.connected_pairs
+            assert folded.sim_dropped == (
+                reference.stats[Stage.SIMULATION].single_cycle
+            )
 
 
 def test_streaming_enabled_modes(fig1):
-    assert streaming_enabled(DetectorOptions(streaming="on"), fig1)
-    assert not streaming_enabled(DetectorOptions(streaming="off"), fig1)
-    # fig1 has 4 flip-flops, far below the auto threshold.
-    assert len(fig1.dffs) < STREAMING_AUTO_DFFS
-    assert not streaming_enabled(DetectorOptions(streaming="auto"), fig1)
+    """``streaming`` selects nothing but is still validated."""
+    records = _run(fig1).pair_records()
+    for mode in ("auto", "on", "off"):
+        assert _run(fig1, streaming=mode).pair_records() == records
     with pytest.raises(ValueError):
-        streaming_enabled(DetectorOptions(streaming="sideways"), fig1)
+        DetectorOptions(streaming="sideways")
 
 
 def test_streaming_trace_events(fig1):
     """One launch_group event per group, with a stream_topology header."""
     tracer = Tracer()
-    result = _run(fig1, tracer=tracer, streaming="on")
+    result = _run(fig1, tracer=tracer)
     header = tracer.select("stream_topology")
     assert len(header) == 1
     assert header[0]["pairs"] == result.connected_pairs
@@ -176,23 +178,23 @@ def test_streaming_trace_events(fig1):
     # The last fold has seen every settled pair.
     assert groups[-1]["folded"] == result.connected_pairs
     assert sum(g["dropped"] for g in groups) == 4  # fig1's sim-dropped pairs
-    # The staged stage boundaries are replaced by the single stream stage.
-    stages = [e["stage"] for e in tracer.select("stage_start")]
-    assert stages == ["stream"]
+    # No stage boundaries: run_end reports the seconds of every phase.
+    assert tracer.select("stage_start") == []
+    (end,) = tracer.select("run_end")
+    assert list(end["phases"]) == list(PHASES)
 
 
-def test_streaming_stage_rejects_single_frame():
+def test_streaming_stage_rejects_single_frame(fig1):
     with pytest.raises(ValueError):
-        StreamingStage(frames=1)
+        detect(AnalysisContext(fig1), frames=1)
 
 
 def test_streaming_pipeline_runs_standalone(fig1):
-    """streaming_pipeline() is a complete Pipeline, not just a stage."""
-    result = streaming_pipeline().run(AnalysisContext(fig1))
-    staged = _run(fig1, streaming="off")
-    assert result.pair_records() == staged.pair_records()
+    """detect() on a bare context is a complete run."""
+    result = detect(AnalysisContext(fig1))
+    assert result.pair_records() == _run(fig1).pair_records()
 
 
 def test_streaming_rejects_unknown_hazard_mode(fig1):
     with pytest.raises(ValueError):
-        _run(fig1, streaming="on", hazard_check="sideways")
+        _run(fig1, hazard_check="sideways")

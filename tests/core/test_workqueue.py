@@ -5,10 +5,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 
 from repro.circuit.topology import FFPair
-from repro.core.detector import DetectorOptions, MultiCycleDetector
+from repro.core.detector import DetectorOptions
 from repro.core.pipeline import merge_session_stats
-from repro.core.result import Stage
-from repro.core.trace import Tracer
 from repro.core.workqueue import (
     MIN_SPLIT_PAIRS,
     launch_units,
@@ -114,9 +112,13 @@ def test_pool_survives_queue_capacity_pressure(fig1):
     )
     units = [[FFPair(0, 0)] * 8 for _ in range(300)]
     out: list = []
-    runner = threading.Thread(
-        target=lambda: out.extend(pool.map_units(units)), daemon=True
-    )
+
+    def run() -> None:
+        for index, unit in enumerate(units):
+            pool.submit(index, unit)
+        out.extend(pool.next_result() for _ in units)
+
+    runner = threading.Thread(target=run, daemon=True)
     runner.start()
     runner.join(timeout=120)
     assert not runner.is_alive(), "pool deadlocked on queue capacity"
@@ -127,18 +129,28 @@ def test_pool_survives_queue_capacity_pressure(fig1):
 
 def test_pool_worker_summary_covers_all_units():
     """Every dispatched unit lands in exactly one worker's summary row."""
+    from repro.circuit.topology import connected_ff_pairs
+    from repro.core.deciders import create_decider
+    from repro.core.pipeline import AnalysisContext
+    from repro.core.workqueue import WorkStealingPool
+
     circuit = random_sequential_circuit(11, max_dffs=8, max_gates=30)
-    tracer = Tracer()
-    options = DetectorOptions(workers=2, parallel_threshold=2, chunk_pairs=2)
-    result = MultiCycleDetector(circuit, options, tracer=tracer).run()
-    queues = tracer.select("decision_queue")
-    if not queues:  # no survivors reached the decision stage
-        return
-    queue = queues[-1]
-    summary = queue["per_worker"]
-    assert [row["worker"] for row in summary] == list(range(queue["workers"]))
-    assert sum(row["units"] for row in summary) == queue["units"]
-    decided_in_decision = sum(
-        1 for r in result.pair_results if r.stage is not Stage.SIMULATION
+    options = DetectorOptions(workers=2)
+    pairs = connected_ff_pairs(circuit)
+    units = launch_units(pairs, 2, split=split_threshold(2))
+    pool = WorkStealingPool(
+        circuit, options, create_decider("dalg"),
+        AnalysisContext(circuit, options).expansion(2), workers=2,
+        key=("summary",),
     )
-    assert sum(row["pairs"] for row in summary) == decided_in_decision
+    try:
+        for index, unit in enumerate(units):
+            pool.submit(index, unit)
+        results = [pool.next_result() for _ in units]
+        summary = pool.worker_summary()
+    finally:
+        pool.shutdown()
+    assert sorted(r.index for r in results) == list(range(len(units)))
+    assert [row["worker"] for row in summary] == [0, 1]
+    assert sum(row["units"] for row in summary) == len(units)
+    assert sum(row["pairs"] for row in summary) == len(pairs)
