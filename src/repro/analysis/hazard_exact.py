@@ -81,6 +81,9 @@ COUNTER_KEYS = (
     "unknown",
     "delay_filtered",
     "source_premises",
+    "sensitize_skipped",
+    "path_searches",
+    "corridor_empty",
 )
 
 
@@ -139,9 +142,12 @@ class ExactHazardChecker:
     """Three-way exact hazard classifier over a shared 2-frame expansion.
 
     The two path-search bounds run first (they are cheap and decide the
-    vast majority of pairs); only bounds-disagreeing or limit-hit pairs
-    reach the SAT encoding, which is built lazily and then shared by
-    every remaining pair through assumptions.
+    vast majority of pairs), the co-sensitization upper bound before the
+    sensitization lower bound: a pair the upper bound clears is safe
+    without a sensitize search, since every statically sensitizable path
+    is statically co-sensitizable.  Only bounds-disagreeing or limit-hit
+    pairs reach the SAT encoding, which is built lazily and then shared
+    by every remaining pair through assumptions.
     """
 
     def __init__(
@@ -202,6 +208,9 @@ class ExactHazardChecker:
         if verdict.delay_safe:
             self.counters["delay_filtered"] += 1
         self.counters["source_premises"] = self._premises.assumed
+        bounds = (self._sens, self._cosens)
+        self.counters["path_searches"] = sum(b.searches for b in bounds)
+        self.counters["corridor_empty"] = sum(b.corridor_empty for b in bounds)
         return verdict
 
     def check_pairs(
@@ -227,15 +236,16 @@ class ExactHazardChecker:
             # Every premise contradicts: the source cannot toggle while
             # the sink holds, so there is no transition to glitch with.
             return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "cases")
+        # The upper bound first: every statically sensitizable path is
+        # statically co-sensitizable, so a clean co-sensitization pass
+        # means the sensitize search could not have proven the glitch.
+        cosens = self._cosens.check_pair(pair_result)
+        if not cosens.has_potential_hazard:
+            self.counters["sensitize_skipped"] += 1
+            return PairHazardVerdict(pair, HazardVerdictKind.SAFE, "cosensitize")
         sens = self._sens.check_pair(pair_result)
         proven = sens.has_potential_hazard and not sens.limited
-        if not proven:
-            cosens = self._cosens.check_pair(pair_result)
-            if not cosens.has_potential_hazard:
-                return PairHazardVerdict(
-                    pair, HazardVerdictKind.SAFE, "cosensitize"
-                )
-        elif self.delays is None:
+        if proven and self.delays is None:
             # The lower bound proved the glitch and no delay filter needs
             # an input witness: done without touching the solver.
             return PairHazardVerdict(

@@ -162,6 +162,9 @@ class HazardChecker:
             raise ValueError("the hazard check needs a 2-frame expansion")
         self.expansion = expansion
         self.premises = premises if premises is not None else SourcePremises(expansion)
+        #: path searches run, and how many ended on an empty open corridor
+        self.searches = 0
+        self.corridor_empty = 0
 
     def check_pair(self, pair_result: PairResult) -> PairHazardReport:
         """Decide whether one multi-cycle pair may see a static hazard."""
@@ -195,6 +198,8 @@ class HazardChecker:
                 reach=premises.cone(ffj_t2),
             )
             engine.backtrack(mark)
+            self.searches += 1
+            self.corridor_empty += result.corridor_empty
             if result.outcome is PathSearchOutcome.FOUND:
                 return PairHazardReport(
                     pair_result,

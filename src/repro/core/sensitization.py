@@ -20,6 +20,17 @@ The search walks forward from the source, assuming the per-gate side-input
 constraints through the shared implication engine (contradictions prune
 whole path families), and confirms each complete path with the
 justification search so that only genuinely satisfiable vectors count.
+
+Before the walk, the search computes the *open corridor*: the nodes that
+lie on some source-to-target walk whose every edge is still open under
+the values the engine holds on entry.  An edge ``via -> gate`` is open
+when one of its extension options has no node already at the opposite
+value.  Values only accumulate along a walk, so an edge closed at the
+root stays closed on every branch below it, and no found path can leave
+the corridor.  Confining the walk to the corridor therefore keeps the
+walk order and the first found path; it only skips dead branches, so the
+``max_attempts`` budget counts attempts inside the corridor.  An empty
+corridor ends the search before any attempt.
 """
 
 from __future__ import annotations
@@ -70,6 +81,8 @@ class PathSearchResult:
     #: node ids of a found path, source first (when FOUND)
     path: list[int] | None = None
     attempts: int = 0
+    #: True when no open corridor joined source and target
+    corridor_empty: bool = False
 
 
 def _extension_options(
@@ -117,6 +130,64 @@ def _extension_options(
     return None
 
 
+def _edge_open(
+    values: bytearray, options: list[list[tuple[int, int]]] | None
+) -> bool:
+    """Whether some option of an edge has no node at the opposite value."""
+    if options is None:
+        return True
+    return any(
+        all(values[node] != 1 - value for node, value in option)
+        for option in options
+    )
+
+
+def open_corridor(
+    engine: ImplicationEngine,
+    source: int,
+    target: int,
+    allowed: frozenset[int] | set[int],
+    mode: SensitizationMode,
+    reach: frozenset[int] | set[int],
+) -> set[int]:
+    """Nodes on some ``source -> target`` walk of open edges.
+
+    Every gate of the walk lies in ``reach`` and ``allowed``, and every
+    edge is open under the engine's current values (see the module
+    docstring).  The set is empty when no such walk exists.
+    """
+    values = engine.assignment.values
+    fanouts = engine.fanouts
+    # Forward from the source, keeping each reached gate's open in-edges.
+    preds: dict[int, list[int]] = {source: []}
+    stack = [source]
+    while stack:
+        node = stack.pop()
+        for gate in fanouts[node]:
+            if gate not in reach or gate not in allowed:
+                continue
+            if not _edge_open(
+                values, _extension_options(engine, gate, node, mode)
+            ):
+                continue
+            if gate in preds:
+                preds[gate].append(node)
+            else:
+                preds[gate] = [node]
+                stack.append(gate)
+    if target not in preds:
+        return set()
+    # Backward from the target over those open in-edges.
+    corridor = {target}
+    stack = [target]
+    while stack:
+        for via in preds[stack.pop()]:
+            if via not in corridor:
+                corridor.add(via)
+                stack.append(via)
+    return corridor
+
+
 def find_sensitizable_path(
     engine: ImplicationEngine,
     source: int,
@@ -135,11 +206,16 @@ def find_sensitizable_path(
     returning.  A FOUND result is backed by a justification-verified input
     vector.  ``reach`` may pass a cached fanin cone of ``target``; it
     needs only ``target``, the cone's ``allowed`` nodes and their fanins.
+    The walk is confined to the open corridor inside ``reach``, and
+    ``max_attempts`` counts the gate attempts made inside it.
     """
     if reach is None:
         reach = engine.circuit.transitive_fanin([target])
     if source not in reach:
         return PathSearchResult(PathSearchOutcome.NONE)
+    reach = open_corridor(engine, source, target, allowed, mode, reach)
+    if not reach:
+        return PathSearchResult(PathSearchOutcome.NONE, corridor_empty=True)
 
     outer_mark = engine.checkpoint()
     attempts = 0

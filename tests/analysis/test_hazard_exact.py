@@ -13,7 +13,11 @@ single-source X-propagation condition exactly:
   ``safe``;
 * *non-interference* — ``pair_records()`` must be byte-identical with
   and without the exact stage, and the streaming/incremental execution
-  paths must reproduce the staged verdicts.
+  paths must reproduce the staged verdicts;
+* *bound order* — the co-sensitize-first checker over corridor-confined
+  searches reaches the verdicts, witnesses and SAT counters of the
+  sensitize-first reference over unpruned searches
+  (``tests/oracles/hazard_reference.py``).
 
 The delay-annotated re-filter gets deterministic unit tests: a single
 X-path cannot pulse under any delay assignment, while unequal-depth
@@ -27,6 +31,7 @@ import random
 from itertools import product
 
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.hazard_exact import (
     ExactHazardChecker,
@@ -36,10 +41,11 @@ from repro.analysis.hazard_exact import (
 from repro.circuit.builder import CircuitBuilder
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit, validate
-from repro.circuit.timeframe import expand
+from repro.circuit.techmap import techmap
+from repro.circuit.timeframe import expand, expand_cached
 from repro.circuit.topology import FFPair
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.hazard import HazardChecker
+from repro.core.hazard import HazardChecker, SourcePremises
 from repro.core.incremental import incremental_detect, result_bundle
 from repro.core.result import (
     Classification,
@@ -52,6 +58,7 @@ from repro.core.ternary_hazard import ternary_eval
 from repro.logic.simulator import evaluate_gate
 from repro.logic.values import X
 from repro.sta.delays import GateDelays
+from tests.oracles.hazard_reference import ReferenceExactHazardChecker
 from tests.oracles.reference_detect import reference_detect
 from tests.strategies import random_sequential_circuit, seeds
 
@@ -208,6 +215,94 @@ def test_exact_respects_sensitization_bounds(seed):
         if not cleared.has_potential_hazard:
             # Upper bound: no co-sensitized path means no glitch.
             assert verdict.verdict is HazardVerdictKind.SAFE
+
+
+# ----------------------------------------------------------------------
+# Bound order: co-sensitize first, searches confined to the corridor.
+# ----------------------------------------------------------------------
+#: counters the sensitize-first reference does not reproduce: it
+#: re-assumes source premises in another order and counts no skips,
+#: searches or empty corridors of the new order.
+_ORDER_COUNTERS = {
+    "source_premises", "sensitize_skipped", "path_searches", "corridor_empty",
+}
+
+
+def _verdict_fields(verdict):
+    return (verdict.pair, verdict.verdict, verdict.decided_by,
+            verdict.witness_case, verdict.witness, verdict.delay_safe)
+
+
+def _assert_matches_sensitize_first(circuit, with_delays):
+    survivors = _detect(circuit).multi_cycle_pairs
+    expansion = expand_cached(circuit, frames=2)
+    delays = GateDelays() if with_delays else None
+    checker = ExactHazardChecker(circuit, expansion, delays=delays)
+    reference = ReferenceExactHazardChecker(circuit, expansion, delays=delays)
+    verdicts = checker.check_pairs(survivors)
+    assert [_verdict_fields(v) for v in verdicts] == [
+        _verdict_fields(v) for v in reference.check_pairs(survivors)
+    ]
+    summary = checker.summary()
+    expected = reference.summary()
+    for key in _ORDER_COUNTERS:
+        del summary[key], expected[key]
+    assert summary == expected
+    cleared = sum(v.decided_by == "cosensitize" for v in verdicts)
+    assert checker.counters["sensitize_skipped"] == cleared
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=25)
+def test_cosensitize_first_matches_sensitize_first(seed, with_delays):
+    circuit = random_sequential_circuit(seed, max_dffs=5, max_gates=18)
+    _assert_matches_sensitize_first(circuit, with_delays)
+
+
+@given(seeds, st.booleans())
+@settings(max_examples=25)
+def test_cosensitize_first_matches_sensitize_first_on_parity_mux(
+    seed, with_delays
+):
+    _assert_matches_sensitize_first(_parity_mux_circuit(seed), with_delays)
+
+
+@given(seeds)
+@settings(max_examples=25)
+def test_clean_cosensitization_leaves_no_sensitized_path(seed):
+    """The premise of the bound order, case by case: when no case has a
+    co-sensitizable path, no case has a sensitizable one."""
+    circuit = techmap(random_sequential_circuit(seed, max_dffs=5,
+                                                max_gates=18))
+    expansion = expand_cached(circuit, frames=2)
+    premises = SourcePremises(expansion)
+    sens = HazardChecker(circuit, SensitizationMode.STATIC_SENSITIZATION,
+                         expansion=expansion, premises=premises)
+    cosens = HazardChecker(circuit, SensitizationMode.STATIC_CO_SENSITIZATION,
+                           expansion=expansion, premises=premises)
+    for pair_result in _detect(circuit).multi_cycle_pairs:
+        if not cosens.check_pair(pair_result).has_potential_hazard:
+            report = sens.check_pair(pair_result)
+            assert report.witness_path is None and not report.limited
+
+
+def test_exact_counters_reach_result_and_trace(fig3):
+    from repro.core.trace import Tracer
+
+    tracer = Tracer()
+    detection = MultiCycleDetector(
+        fig3, DetectorOptions(hazard_check="exact"), tracer=tracer
+    ).run()
+    (record,) = tracer.select("hazard_stage")
+    assert record["exact"] == detection.hazard_exact
+    summary = detection.hazard_exact
+    assert summary is not None
+    cleared = sum(
+        v.decided_by == "cosensitize" for v in detection.hazard_verdicts
+    )
+    assert summary["sensitize_skipped"] == cleared
+    assert summary["path_searches"] >= summary["corridor_empty"] >= 0
+    assert summary["path_searches"] > 0
 
 
 # ----------------------------------------------------------------------

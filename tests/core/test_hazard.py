@@ -20,6 +20,7 @@ from repro.core.sensitization import (
 from repro.atpg.implication import ImplicationEngine
 
 from hypothesis import given, settings
+from tests.oracles.hazard_reference import reference_find_sensitizable_path
 from tests.strategies import random_sequential_circuit, seeds, shuffled
 
 
@@ -272,6 +273,51 @@ def test_exact_checker_matches_fresh_checker_per_pair(seed):
     # toggle direction, however many bounds and cases reuse it.
     launch_ffs = {r.pair.source for r in survivors}
     assert 0 < checker.summary()["source_premises"] <= 2 * len(launch_ffs)
+
+
+@given(seeds)
+@settings(max_examples=4)
+def test_corridor_search_matches_unpruned_search(seed):
+    """Confining the walk to the open corridor keeps the outcome and the
+    first found path, and never costs attempts, whenever the unpruned
+    walk stays inside its budget."""
+    circuit, survivors = _syn090_variant(seed)
+    expansion = expand_cached(circuit, frames=2)
+    premises = SourcePremises(expansion)
+    compared = 0
+    for mode in SensitizationMode:
+        for max_attempts in (5000, 8):
+            for pair_result in survivors:
+                source = expansion.ff_index(pair_result.pair.source)
+                sink = expansion.ff_index(pair_result.pair.sink)
+                target = expansion.ff_at[2][sink]
+                for a, b in HazardChecker._satisfiable_cases(pair_result):
+                    engine = premises.engine(source, a)
+                    if engine is None:
+                        continue
+                    mark = engine.checkpoint()
+                    if engine.assume_all(
+                        [(expansion.ff_at[1][sink], b), (target, b)]
+                    ):
+                        kwargs = dict(
+                            source=expansion.ff_at[1][source],
+                            target=target,
+                            allowed=premises.frame2_nodes,
+                            mode=mode,
+                            max_attempts=max_attempts,
+                            reach=premises.cone(target),
+                        )
+                        result = find_sensitizable_path(engine, **kwargs)
+                        expected = reference_find_sensitizable_path(
+                            engine, **kwargs
+                        )
+                        if expected.attempts <= max_attempts:
+                            compared += 1
+                            assert result.outcome is expected.outcome
+                            assert result.path == expected.path
+                            assert result.attempts <= expected.attempts
+                    engine.backtrack(mark)
+    assert compared > 0
 
 
 def test_contradicting_source_premise_skips_cases_and_resets():

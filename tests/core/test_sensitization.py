@@ -7,6 +7,7 @@ from repro.core.sensitization import (
     SensitizationMode,
     _extension_options,
     find_sensitizable_path,
+    open_corridor,
 )
 from repro.atpg.implication import ImplicationEngine
 from repro.logic.values import ONE, ZERO
@@ -112,3 +113,38 @@ def test_search_blocked_by_assumed_side_value():
         SensitizationMode.STATIC_SENSITIZATION,
     )
     assert result.outcome is PathSearchOutcome.NONE
+
+
+def _blocked_chain(b):
+    a, k1, k2 = b.input("a"), b.input("k1"), b.input("k2")
+    g1 = b.and_(a, k1, name="g1")
+    b.output("o", b.or_(g1, k2, name="g2"))
+
+
+def test_controlling_side_input_at_root_empties_corridor():
+    circuit, engine = _engine_for(_blocked_chain)
+    assert engine.assume(circuit.id_of("k1"), ZERO)  # closes a -> g1
+    result = find_sensitizable_path(
+        engine, circuit.id_of("a"), circuit.id_of("g2"),
+        {circuit.id_of("g1"), circuit.id_of("g2")},
+        SensitizationMode.STATIC_SENSITIZATION,
+    )
+    assert result.outcome is PathSearchOutcome.NONE
+    assert result.attempts == 0
+    assert result.corridor_empty
+
+
+def test_attempt_limit_still_bites_inside_corridor():
+    circuit, engine = _engine_for(_blocked_chain)
+    allowed = {circuit.id_of("g1"), circuit.id_of("g2")}
+    assert open_corridor(
+        engine, circuit.id_of("a"), circuit.id_of("g2"), allowed,
+        SensitizationMode.STATIC_SENSITIZATION,
+        circuit.transitive_fanin([circuit.id_of("g2")]),
+    ) == {circuit.id_of(n) for n in ("a", "g1", "g2")}
+    result = find_sensitizable_path(
+        engine, circuit.id_of("a"), circuit.id_of("g2"), allowed,
+        SensitizationMode.STATIC_SENSITIZATION, max_attempts=0,
+    )
+    assert result.outcome is PathSearchOutcome.UNKNOWN
+    assert not result.corridor_empty
