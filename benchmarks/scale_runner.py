@@ -25,7 +25,11 @@ ceiling is therefore set with headroom over the expected RSS.)
 Usage::
 
     python scale_runner.py syn20000 [--workers 1]
-        [--rss-limit-mb 1536] [--trace FILE]
+        [--rss-limit-mb 1536] [--trace FILE] [--hazard-check exact]
+
+With ``--hazard-check`` other than ``off`` the hazard stage runs too;
+an ``exact`` run adds the checker's ``hazard_exact`` summary (SAT
+solves, resolution fraction, solver work) to the report.
 """
 
 from __future__ import annotations
@@ -73,6 +77,9 @@ def main(argv: list[str] | None = None) -> int:
                              "invocations (cold vs warm wall time)")
     parser.add_argument("--trace", default=None,
                         help="write the run's JSONL trace to FILE")
+    parser.add_argument("--hazard-check", default="off",
+                        help="hazard stage mode (off, ternary, sensitize, "
+                             "cosensitize, exact)")
     args = parser.parse_args(argv)
 
     if args.rss_limit_mb:
@@ -93,6 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         max_pairs_in_flight=args.max_pairs_in_flight,
         packed_implication=args.packed_implication,
         cache_dir=args.cache_dir,
+        hazard_check=args.hazard_check,
     )
 
     groups = 0
@@ -157,6 +165,8 @@ def main(argv: list[str] | None = None) -> int:
         ]
     if result.cache is not None:
         report["cache"] = result.cache
+    if result.hazard_exact is not None:
+        report["hazard_exact"] = result.hazard_exact
     if queue_summary is not None:
         report["decision_queue"] = queue_summary
     json.dump(report, sys.stdout)

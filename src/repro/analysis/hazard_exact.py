@@ -79,6 +79,9 @@ COUNTER_KEYS = (
     "sat",
     "unsat",
     "unknown",
+    "sat_decisions",
+    "sat_conflicts",
+    "sat_propagations",
     "delay_filtered",
     "source_premises",
     "sensitize_skipped",
@@ -321,7 +324,12 @@ class ExactHazardChecker:
                 encoding.lit(target, b),
             ]
             self.counters["sat_solves"] += 1
+            stats = solver.stats
+            before = (stats.decisions, stats.conflicts, stats.propagations)
             status = solver.solve(assumptions, conflict_limit=self.conflict_limit)
+            self.counters["sat_decisions"] += stats.decisions - before[0]
+            self.counters["sat_conflicts"] += stats.conflicts - before[1]
+            self.counters["sat_propagations"] += stats.propagations - before[2]
             if status is SolveStatus.SAT:
                 self.counters["sat"] += 1
                 witness: dict[int, int] = {}

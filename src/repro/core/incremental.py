@@ -25,7 +25,12 @@ the ordinary detection fold (:func:`repro.core.pipeline.detect`) with an
    the options fingerprint mixes in the full structural hash whenever
    they are on — any edit then invalidates every prior record, which is
    sound (never wrong, merely slower).
-4. **Hazard verdicts inherit with the decide records** when the prior
+4. **Witnesses inherit only onto the same input layout.**  A case
+   witness maps expanded INPUT node ids to values, so a record that
+   carries one is inherited only when the expanded inputs still have
+   the same ids and names.  An inserted DFF adds a pseudo-input and
+   shifts every later id; its witness-carrying records are re-decided.
+5. **Hazard verdicts inherit with the decide records** when the prior
    run used the same hazard options; otherwise inherited multi-cycle
    pairs are checked alongside the fresh ones, in the same per-batch
    hazard pass.
@@ -45,11 +50,13 @@ import hashlib
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro.circuit.csr import csr_arrays
 from repro.circuit.netlist import Circuit
 from repro.circuit.structhash import (
     capture_cone_hashes,
     launch_cone_hashes,
 )
+from repro.circuit.timeframe import expand_cached
 from repro.circuit.topology import FFPair
 from repro.core.pipeline import AnalysisContext, DetectorOptions
 from repro.core.result import (
@@ -139,6 +146,24 @@ def hazard_fingerprint(options: DetectorOptions) -> str:
     return hashlib.sha256("\x1f".join(parts).encode()).hexdigest()
 
 
+def input_layout_digest(circuit: Circuit, frames: int = 2) -> str:
+    """Digest of the expanded inputs' ``(id, name)`` list, in id order.
+
+    Case witnesses are keyed by these ids, so a witness is only valid
+    on a circuit whose expansion has the same digest.
+    """
+    comb = expand_cached(circuit, frames).comb
+    names = comb.names
+    layout = "\x1f".join(
+        f"{node}={names[node]}" for node in csr_arrays(comb).inputs
+    )
+    return hashlib.sha256(layout.encode()).hexdigest()
+
+
+def _has_witness(cases: Sequence[Any]) -> bool:
+    return any(case["witness"] is not None for case in cases)
+
+
 # ----------------------------------------------------------------------
 # Pair-record bundles.
 # ----------------------------------------------------------------------
@@ -152,7 +177,9 @@ def result_bundle(
     Per pair: names, the launch/capture cone hashes, and the full
     decide record (classification, stage, cases) in exactly the shape
     :meth:`DetectionResult.pair_records` exposes — plus the hazard flag
-    when the hazard stage ran.
+    when the hazard stage ran.  When any case carries a witness, the
+    bundle also records the :func:`input_layout_digest` its keys refer
+    to.
     """
     circuit = result.circuit
     names = circuit.names
@@ -194,10 +221,18 @@ def result_bundle(
                 verdict.delay_safe if verdict is not None else None
             ),
         })
+    witnessed = any(
+        case.witness is not None
+        for pair_result in result.pair_results
+        for case in pair_result.cases
+    )
     return {
         "circuit": circuit.name,
         "engine": result.engine,
         "frames": frames,
+        "input_layout": (
+            input_layout_digest(circuit, frames) if witnessed else None
+        ),
         "fingerprint": options_fingerprint(options, circuit, frames),
         "hazard_mode": result.hazard_mode,
         "hazard_fingerprint": hazard_fingerprint(options),
@@ -277,6 +312,8 @@ class Inheritance:
     survivor whose ``(launch-cone-hash, capture-cone-hash)`` matches a
     decide-settled record of the prior bundle — under the same options
     fingerprint — inherits that record verbatim; the rest are re-decided.
+    A record whose cases carry a witness also needs the prior bundle's
+    input layout to match the circuit's (:func:`input_layout_digest`).
     """
 
     def __init__(self, bundle: dict[str, Any]) -> None:
@@ -300,6 +337,9 @@ class Inheritance:
                 if record["stage"] in _DECIDE_STAGES
             }
         self.names = circuit.names
+        self.circuit = circuit
+        self.frames = frames
+        self._same_layout: bool | None = None
         self.launch = launch_cone_hashes(circuit, frames)
         self.capture = capture_cone_hashes(circuit, frames)
         self.hazard_reuse = (
@@ -319,6 +359,7 @@ class Inheritance:
                 record is not None
                 and record["launch"] == self.launch[pair.source]
                 and record["capture"] == self.capture[pair.sink]
+                and (not _has_witness(record["cases"]) or self.same_layout())
             ):
                 self.inherited[pair] = record
                 inherited.append(_result_from_record(pair, record))
@@ -327,6 +368,13 @@ class Inheritance:
         self.survivors += len(pairs)
         self.re_decided += len(fresh)
         return inherited, fresh
+
+    def same_layout(self) -> bool:
+        """Whether prior witnesses key the same expanded inputs (cached)."""
+        if self._same_layout is None:
+            digest = input_layout_digest(self.circuit, self.frames)
+            self._same_layout = digest == self.bundle.get("input_layout")
+        return self._same_layout
 
     def prior_hazard(
         self, pair: FFPair, mode: str

@@ -303,6 +303,28 @@ def test_exact_counters_reach_result_and_trace(fig3):
     assert summary["sensitize_skipped"] == cleared
     assert summary["path_searches"] >= summary["corridor_empty"] >= 0
     assert summary["path_searches"] > 0
+    for key in ("sat_decisions", "sat_conflicts", "sat_propagations"):
+        assert record["exact"][key] == summary[key] >= 0
+
+
+@given(seeds)
+@settings(max_examples=25)
+def test_sat_counters_are_the_solver_work_of_the_solves(seed):
+    """``sat_decisions`` / ``sat_conflicts`` / ``sat_propagations`` are
+    the solver's stat deltas over its solves; only the encoding's own
+    root propagation is left out."""
+    circuit = _parity_mux_circuit(seed)
+    checker = ExactHazardChecker(circuit)
+    checker.check_pairs(_detect(circuit).multi_cycle_pairs)
+    summary = checker.summary()
+    solver = checker._solver
+    if solver is None:
+        assert summary["sat_solves"] == 0
+        assert summary["sat_propagations"] == 0
+        return
+    assert summary["sat_decisions"] == solver.stats.decisions
+    assert summary["sat_conflicts"] == solver.stats.conflicts
+    assert 0 < summary["sat_propagations"] <= solver.stats.propagations
 
 
 # ----------------------------------------------------------------------

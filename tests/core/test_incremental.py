@@ -10,7 +10,7 @@ edits (gate-type flips, fanin rewires, DFF insertions) at the property.
 import json
 import random
 
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from repro.circuit.gates import GateType
@@ -22,6 +22,7 @@ from repro.circuit.structhash import (
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.incremental import (
     incremental_detect,
+    input_layout_digest,
     load_result_bundle,
     options_fingerprint,
     result_bundle,
@@ -135,6 +136,38 @@ def test_incremental_matches_full_run_after_eco(seed, kind):
     full = MultiCycleDetector(_clone(edited), options).run()
     assert _records(incremental) == _records(full)
     assert incremental.incremental is not None
+
+
+@given(seeds, st.integers(0, 2))
+@example(0, 2)
+def test_incremental_matches_full_run_after_eco_without_random_filter(
+    seed, kind
+):
+    """Every pair reaches decide, so witness-carrying records are
+    inherited too.  A DFF insertion shifts the expanded input ids the
+    witnesses are keyed by: those records must be re-decided."""
+    base = random_sequential_circuit(seed)
+    edited = eco_edit(base, seed, kind)
+    assume(edited is not None)
+    options = DetectorOptions(use_random_sim=False)
+    bundle = result_bundle(
+        MultiCycleDetector(base, options).run(), options
+    )
+    incremental = incremental_detect(edited, options, bundle)
+    full = MultiCycleDetector(_clone(edited), options).run()
+    assert _records(incremental) == _records(full)
+
+
+def test_gate_flip_keeps_the_input_layout():
+    """A gate-type flip adds no node, so witnesses stay inheritable."""
+    base = random_sequential_circuit(0)
+    options = DetectorOptions(use_random_sim=False)
+    bundle = result_bundle(MultiCycleDetector(base, options).run(), options)
+    assert bundle["input_layout"] is not None
+    edited = eco_edit(base, 0, 0)
+    assert bundle["input_layout"] == input_layout_digest(edited)
+    dff_inserted = eco_edit(base, 0, 2)
+    assert bundle["input_layout"] != input_layout_digest(dff_inserted)
 
 
 @given(seeds, st.integers(0, 2))

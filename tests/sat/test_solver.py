@@ -3,10 +3,16 @@
 import itertools
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuit.timeframe import expand
+from repro.core.ternary_hazard import ternary_eval
 from repro.sat.solver import CdclSolver, SolveStatus
+from repro.sat.tseitin import encode_circuit
+
+from tests.oracles.solver_reference import ReferenceCdclSolver
+from tests.strategies import random_sequential_circuit
 
 
 def _brute_sat(num_vars, clauses):
@@ -229,3 +235,115 @@ def test_reduce_db_keeps_binary_drops_cold_ternary():
     assert solver.clauses[0] is not None
     assert solver.clauses[1] is None
     assert solver.clauses[2] is not None
+
+
+# ----------------------------------------------------------------------
+# Differential against the reference solver: identical searches.
+# ----------------------------------------------------------------------
+def _assert_same_state(solver, oracle):
+    assert solver.num_vars == oracle.num_vars
+    assert solver.values == oracle.values
+    assert solver.phase == oracle.phase
+    assert solver.stats == oracle.stats
+
+
+def _run_script(solvers, clauses, steps):
+    """Feed both solvers the same clauses and calls, comparing after each."""
+    solver, oracle = solvers
+    for clause in clauses:
+        assert solver.add_clause(clause) == oracle.add_clause(clause)
+        _assert_same_state(solver, oracle)
+    for step in steps:
+        if step[0] == "add":
+            assert solver.add_clause(step[1]) == oracle.add_clause(step[1])
+        else:
+            _, assumptions, limit = step
+            status = solver.solve(assumptions, conflict_limit=limit)
+            assert status is oracle.solve(assumptions, conflict_limit=limit)
+        _assert_same_state(solver, oracle)
+
+
+def _solver_pair(var_inc=1.0, max_learned=4000):
+    pair = (CdclSolver(), ReferenceCdclSolver())
+    for s in pair:
+        s.var_inc = var_inc
+        s.max_learned = max_learned
+    return pair
+
+
+@st.composite
+def _solver_scripts(draw):
+    num_vars = draw(st.integers(min_value=1, max_value=12))
+    # Assumptions may name variables no clause has allocated yet.
+    lits = st.integers(min_value=1, max_value=num_vars + 2).flatmap(
+        lambda v: st.sampled_from([v, -v])
+    )
+    clause = st.lists(lits, min_size=1, max_size=4)
+    solve = st.tuples(
+        st.just("solve"),
+        st.lists(lits, max_size=5),
+        st.sampled_from([None, None, 0, 1, 3, 20]),
+    )
+    add = st.tuples(st.just("add"), clause)
+    clauses = draw(st.lists(clause, min_size=1, max_size=45))
+    steps = draw(st.lists(st.one_of(solve, solve, add), min_size=1, max_size=12))
+    # A huge bump increment reaches the activity rescale; a tiny
+    # learned-clause budget reaches the database reduction.
+    var_inc = draw(st.sampled_from([1.0, 1.0, 1e99]))
+    max_learned = draw(st.sampled_from([4000, 2]))
+    return clauses, steps, var_inc, max_learned
+
+
+@settings(max_examples=150)
+@given(_solver_scripts())
+def test_solver_matches_reference_search(script):
+    """Status, values, saved phases and stats match after every call."""
+    clauses, steps, var_inc, max_learned = script
+    _run_script(_solver_pair(var_inc, max_learned), clauses, steps)
+
+
+def test_solver_matches_reference_on_hard_incremental_instances():
+    """Near-threshold 3-SAT under assumptions: restarts, rescales, reductions."""
+    for seed in range(6):
+        rng = random.Random(seed)
+        num_vars = 100
+        clauses = [
+            [rng.choice([1, -1]) * rng.randint(1, num_vars) for _ in range(3)]
+            for _ in range(426)
+        ]
+        steps = []
+        for _ in range(25):
+            assumptions = [
+                rng.choice([1, -1]) * rng.randint(1, num_vars)
+                for _ in range(rng.randint(0, 4))
+            ]
+            steps.append(("solve", assumptions, rng.choice([None, 30, 200])))
+        pair = _solver_pair(
+            var_inc=1e95 if seed % 2 else 1.0, max_learned=60
+        )
+        _run_script(pair, clauses, steps)
+        assert pair[0].stats.restarts > 0
+        assert None in pair[0].clauses
+
+
+def test_order_heap_stays_bounded_over_prefix_unsat_solves():
+    """2,000 solves that end UNSAT inside the assumption prefix.
+
+    Every solve backtracks the whole prefix; the order heap must keep
+    at most two entries per variable instead of growing per solve.
+    """
+    circuit = random_sequential_circuit(3, max_inputs=4, max_dffs=4, max_gates=14)
+    comb = expand(circuit, frames=2).comb
+    encoding = encode_circuit(comb)
+    solver = encoding.solver
+    target = comb.topo_order()[-1]
+    rng = random.Random(0)
+    for _ in range(2000):
+        vector = {node: rng.randint(0, 1) for node in comb.inputs}
+        wrong = 1 - ternary_eval(comb, vector)[target]
+        assumptions = [encoding.lit(target, wrong)] + [
+            encoding.lit(node, bit) for node, bit in vector.items()
+        ]
+        assert solver.solve(assumptions) is SolveStatus.UNSAT
+    assert solver.stats.decisions == 0
+    assert len(solver._order) <= 2 * solver.num_vars
