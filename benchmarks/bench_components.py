@@ -123,24 +123,6 @@ def test_bdd_build_cost(benchmark):
     assert len(bdds) == expansion.comb.num_nodes
 
 
-def test_stuckat_atpg_cost(benchmark):
-    """Full-scan stuck-at ATPG over every fault of fig1 (miter flow)."""
-    from repro.atpg.stuckat import run_atpg
-
-    circuit = fig1_circuit()
-    report = benchmark(run_atpg, circuit)
-    assert report.coverage == 1.0
-
-
-def test_fault_dropping_cost(benchmark):
-    """Generate-and-drop flow: far fewer generator calls per fault."""
-    from repro.atpg.faultsim import DroppingAtpg
-
-    circuit = fig1_circuit()
-    result = benchmark(lambda: DroppingAtpg(circuit).run())
-    assert len(result.patterns) < len(result.report.detected)
-
-
 def test_scoap_cost(benchmark):
     from repro.atpg.scoap import compute_scoap
 

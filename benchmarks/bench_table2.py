@@ -13,9 +13,9 @@ import pytest
 
 from repro.circuit.timeframe import expand
 from repro.circuit.topology import connected_ff_pairs
-from repro.core.pair_analysis import PairAnalyzer
 from repro.core.random_filter import random_filter
 from repro.core.detector import detect_multi_cycle_pairs
+from repro.core.session import DecisionSession
 from repro.reporting.tables import run_table2
 
 from conftest import PROFILE, record_report
@@ -34,13 +34,14 @@ def test_stage_random_simulation(benchmark, circuit):
 
 @pytest.mark.parametrize("circuit", _CIRCUITS, ids=_IDS)
 def test_stage_implication_and_atpg(benchmark, circuit):
-    """Time the per-pair analysis on the simulation survivors only."""
+    """Time the decide stage on the simulation survivors only."""
     pairs = random_filter(circuit, connected_ff_pairs(circuit)).survivors
     expansion = expand(circuit, frames=2)
 
     def analyse_all():
-        analyzer = PairAnalyzer(expansion)
-        return [analyzer.analyze(pair) for pair in pairs]
+        # The production decision session, with the detector's default
+        # packed pre-pass setting.
+        return DecisionSession(expansion, packed="auto").decide_group(pairs)
 
     results = benchmark(analyse_all)
     assert len(results) == len(pairs)

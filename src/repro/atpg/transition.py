@@ -8,9 +8,9 @@ path delay faults [10].  This module realises that connection:
   ``n`` is tested launch-on-capture style over the 2-frame expansion: the
   first frame sets ``n`` to the initial value, the second frame sets it to
   the final value *and* propagates the (late) transition to an observation
-  point — encoded as the frame-2 stuck-at miter at the initial value, so
-  the whole machinery reuses the implication engine and justification
-  search.
+  point — encoded as a frame-2 stuck-at miter (:func:`build_fault_miter`)
+  at the initial value, so the whole machinery reuses the implication
+  engine and justification search.
 
 * **Relaxation classification** — a transition fault is *multi-cycle
   relaxed* when every FF pair whose combinational cone contains the fault
@@ -27,13 +27,12 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.circuit.gates import GateType
+from repro.circuit.gates import COMBINATIONAL_TYPES, GateType
 from repro.circuit.netlist import Circuit
 from repro.circuit.timeframe import TimeFrameExpansion, expand
 from repro.logic.values import ONE, X, ZERO
 from repro.atpg.implication import ImplicationEngine
 from repro.atpg.justify import SearchStatus, justify
-from repro.atpg.stuckat import build_fault_miter
 from repro.core.result import DetectionResult
 
 
@@ -105,6 +104,52 @@ def enumerate_transition_faults(circuit: Circuit) -> list[TransitionFault]:
         for node in sites
         for rising in (True, False)
     ]
+
+
+def build_fault_miter(
+    comb: Circuit,
+    site: int,
+    stuck_value: int,
+    observe: list[int],
+) -> tuple[Circuit, int]:
+    """Good circuit + faulty fanout cone of ``site`` + OR of observation XORs.
+
+    The faulty cone is a copy of ``site``'s transitive fanout with the
+    site tied to ``stuck_value``.  Returns the miter circuit and its
+    output node, which is 1 exactly when some observation point of the
+    good and faulty cones differs; the output is constant 0 when the site
+    reaches no observation point.
+    """
+    miter = comb.copy(f"{comb.name}_miter")
+    cone = comb.transitive_fanout([site])
+    dup: dict[int, int] = {}
+    const_type = GateType.CONST1 if stuck_value == ONE else GateType.CONST0
+    dup[site] = miter.add_node(const_type, (), f"{comb.names[site]}__flt")
+    for node in comb.topo_order():
+        if node not in cone or node == site:
+            continue
+        if comb.types[node] not in COMBINATIONAL_TYPES:
+            continue
+        fanins = tuple(dup.get(f, f) for f in comb.fanins[node])
+        dup[node] = miter.add_node(
+            comb.types[node], fanins, f"{comb.names[node]}__flt"
+        )
+    xors = []
+    for observation in observe:
+        faulty = dup.get(observation)
+        if faulty is None:
+            continue  # fault cannot reach this observation point
+        xors.append(
+            miter.add_node(
+                GateType.XOR, (observation, faulty),
+                f"{comb.names[observation]}__xor",
+            )
+        )
+    if not xors:
+        out = miter.add_node(GateType.CONST0, (), "__miter_const")
+        return miter, out
+    out = miter.add_node(GateType.OR, tuple(xors), "__miter")
+    return miter, out
 
 
 class TransitionAtpg:

@@ -55,7 +55,6 @@ def _detector_options(args: argparse.Namespace) -> DetectorOptions:
         lint=args.lint,
         include_self_loops=not args.no_self_loops,
         search_engine=args.engine,
-        scoap_guidance=args.scoap,
         launch_prefix=not args.no_launch_prefix,
         packed_implication=args.packed_implication,
         sim_seed=args.seed,
@@ -108,10 +107,10 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", default="dalg",
                         choices=available_engines(),
                         help="pair-decision engine (default: dalg, the "
-                             "paper's implication+ATPG flow; the kcycle "
-                             "command always uses the implication engine)")
-    parser.add_argument("--scoap", action="store_true",
-                        help="SCOAP-guided decision ordering (dalg engine)")
+                             "paper's implication+ATPG flow; scoap is dalg "
+                             "with SCOAP-guided decision ordering; the "
+                             "kcycle command always uses the implication "
+                             "engine)")
     parser.add_argument("--no-launch-prefix", action="store_true",
                         help="re-derive the full case premise per pair "
                              "instead of sharing launch-assumption "

@@ -171,7 +171,7 @@ class ImplicationAtpgDecider:
             backtrack_limit=options.backtrack_limit,
             learned=learned,
             search_engine="podem" if self.name == "podem" else "dalg",
-            scoap_guidance=options.scoap_guidance or self.name == "scoap",
+            scoap_guidance=self.name == "scoap",
             share_prefix=options.launch_prefix,
             packed=options.packed_implication,
             clock=ctx.clock,

@@ -96,9 +96,11 @@ def options_fingerprint(
     launch-prefix cache) are excluded — prior PRs pin their record
     byte-identity.  Simulation options are excluded too: the random
     filter reruns fresh on every incremental pass.  When a
-    globally-sensitive feature is on (learned tables, SCOAP, the
-    SAT/BDD engines) the circuit's structural hash is mixed in, so any
-    edit invalidates every prior record.
+    globally-sensitive feature is on (learned tables, the SAT/BDD
+    engines) the circuit's structural hash is mixed in, so any edit
+    invalidates every prior record.  The ``scoap`` engine is not one:
+    its decision order reads only fanin-cone controllability, which
+    the cone hashes already cover.
     """
     parts = [
         f"frames={frames}",
@@ -106,12 +108,10 @@ def options_fingerprint(
         f"backtrack={options.backtrack_limit}",
         f"static_learning={options.static_learning}",
         f"implication_db={options.implication_db}",
-        f"scoap={options.scoap_guidance}",
     ]
     globally_sensitive = (
         options.static_learning
         or options.implication_db
-        or options.scoap_guidance
         or options.search_engine in _GLOBAL_ENGINES
     )
     if globally_sensitive:

@@ -119,8 +119,6 @@ class DetectorOptions:
     #: "dalg" (paper's choice), "podem", "scoap", "sat", "bdd",
     #: "cross-check".
     search_engine: str = "dalg"
-    #: SCOAP-guided decision ordering in the dalg search (ablation).
-    scoap_guidance: bool = False
     #: share launch-assumption implications across same-source pairs in
     #: the decision session; disabling re-derives the full premise per
     #: case (ablation — verdicts are identical either way).
@@ -189,6 +187,11 @@ class DetectorOptions:
     def __post_init__(self) -> None:
         if self.streaming not in ("auto", "on", "off"):
             raise ValueError(f"unknown streaming mode {self.streaming!r}")
+        if self.backplane not in ("auto", "on", "off"):
+            raise ValueError(
+                f"unknown backplane mode {self.backplane!r} "
+                "(DetectorOptions.backplane must be 'auto', 'on' or 'off')"
+            )
 
 
 @dataclass
@@ -363,10 +366,7 @@ def publish_backplane(
     shared payload, or a publish failure — keeps the pickled path.
     """
     options = ctx.options
-    mode = getattr(options, "backplane", "auto")
-    if mode not in ("auto", "on", "off"):
-        raise ValueError(f"unknown backplane mode {mode!r}")
-    if mode == "off":
+    if options.backplane == "off":
         return None, expansion, shared
     try:
         from repro.analysis.implication_db import ImplicationDB

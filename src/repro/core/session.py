@@ -2,9 +2,10 @@
 
 The MC condition of every case ``(a, b)`` for a pair ``(FF_i, FF_j)``
 starts from the same *launch* assumption ``FF_i(t)=a, FF_i(t+1)=¬a`` —
-identical for every pair sharing the launching FF.  The per-pair analyzer
-(:class:`~repro.core.pair_analysis.PairAnalyzer`) re-derives its
-implications from scratch four times per pair; a
+identical for every pair sharing the launching FF.  The paper's literal
+per-pair walk (the ``PairAnalyzer`` reference in
+``tests/oracles/pair_analysis.py``) re-derives its implications from
+scratch four times per pair; a
 :class:`DecisionSession` instead walks the surviving pairs in *launch
 runs* (consecutive pairs with the same source, which is how
 :func:`~repro.circuit.topology.connected_ff_pairs` orders them), pushes
@@ -527,9 +528,12 @@ class DecisionSession:
     def _case_tail(self, ffj_t2: int, a: int, b: int) -> CaseResult:
         """Shared post-premise logic: implied value checks + searches.
 
-        Mirrors :meth:`PairAnalyzer._analyze_case` (including the
-        justifiability confirmation refinement over the paper's Step
-        4.1.3 — see that module's docstring).
+        Mirrors the reference ``PairAnalyzer._analyze_case``, including
+        one refinement over the paper's Step 4.1.3: when implication
+        derives ``FF_j(t+2) = ¬b`` the paper declares the pair
+        single-cycle at once, but that needs the premise to be
+        justifiable, so the search confirms it (an unjustifiable premise
+        counts as a contradiction).
         """
         engine = self.engine
         implied = engine.value(ffj_t2)

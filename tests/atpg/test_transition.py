@@ -1,16 +1,111 @@
 """Transition-fault ATPG and the multi-cycle relaxation link."""
 
+import itertools
+
+from hypothesis import given
+
 from repro.circuit.builder import CircuitBuilder
+from repro.circuit.gates import GateType
+from repro.circuit.timeframe import expand
 from repro.core.detector import detect_multi_cycle_pairs
-from repro.logic.simulator import Simulator
+from repro.logic.simulator import Simulator, evaluate_gate
 from repro.atpg.transition import (
     TransitionAtpg,
     TransitionFault,
     TransitionStatus,
+    build_fault_miter,
     enumerate_transition_faults,
     relaxable_fault_sites,
     transition_relaxation_summary,
 )
+
+from tests.strategies import random_sequential_circuit, seeds
+
+
+def _full_scan_miter(circuit, name, stuck):
+    """Stuck-at miter over the 1-frame expansion with full-scan observation
+    (PO drivers and next-state nodes)."""
+    expansion = expand(circuit, frames=1)
+    comb = expansion.comb
+    observe = [comb.fanins[po][0] for po in comb.outputs]
+    observe.extend(expansion.ff_at[1])
+    observe = list(dict.fromkeys(observe))
+    site = expansion.node_at[0][circuit.id_of(name)]
+    return comb, site, observe, build_fault_miter(comb, site, stuck, observe)
+
+
+def _evaluate_stuck(comb, input_values, site=None, stuck=0):
+    """Evaluate a combinational circuit, ``site`` (if any) forced to ``stuck``."""
+    values = {}
+    for node in comb.topo_order():
+        gate_type = comb.types[node]
+        if node == site:
+            values[node] = stuck
+        elif gate_type == GateType.INPUT:
+            values[node] = input_values[node]
+        elif gate_type in (GateType.CONST0, GateType.CONST1):
+            values[node] = int(gate_type == GateType.CONST1)
+        else:
+            values[node] = evaluate_gate(gate_type, [values[f] for f in comb.fanins[node]])
+    return values
+
+
+def _miter_outputs(comb, miter, out):
+    """The miter output under every assignment of the free inputs."""
+    sim = Simulator(miter)
+    names = [comb.names[n] for n in comb.inputs]
+    outputs = []
+    for bits in itertools.product((0, 1), repeat=len(names)):
+        sim.set_inputs(dict(zip(names, bits)))
+        outputs.append(sim.value(out))
+    return outputs
+
+
+def test_fault_miter_of_unobservable_site_is_constant_zero():
+    """Logic feeding nothing cannot be observed: the miter output is 0."""
+    builder = CircuitBuilder("dead")
+    a = builder.input("a")
+    builder.not_(a, name="dangling")
+    builder.output("o", builder.buf(a, name="keep"))
+    circuit = builder.build()
+    comb, _, _, (miter, out) = _full_scan_miter(circuit, "dangling", 1)
+    assert set(_miter_outputs(comb, miter, out)) == {0}
+
+
+def test_fault_miter_separates_redundant_from_testable():
+    """x AND !x is constantly 0: its SA0 never shows, its SA1 does."""
+    builder = CircuitBuilder("red")
+    a = builder.input("a")
+    na = builder.not_(a, name="na")
+    g = builder.and_(a, na, name="g")
+    out = builder.or_(g, builder.input("b"), name="out")
+    builder.output("o", out)
+    circuit = builder.build()
+    comb, _, _, (miter, out) = _full_scan_miter(circuit, "g", 0)
+    assert set(_miter_outputs(comb, miter, out)) == {0}
+    comb, _, _, (miter, out) = _full_scan_miter(circuit, "g", 1)
+    assert 1 in _miter_outputs(comb, miter, out)
+
+
+@given(seeds)
+def test_fault_miter_matches_exhaustive_check(seed):
+    """The miter output is 1 exactly when the good and faulty circuits
+    differ at some observation point, under every input vector."""
+    circuit = random_sequential_circuit(seed, max_inputs=2, max_dffs=2,
+                                        max_gates=6)
+    sites = [
+        circuit.names[n] for n in range(circuit.num_nodes)
+        if circuit.types[n] not in (GateType.OUTPUT, GateType.CONST0, GateType.CONST1)
+    ][:4]
+    for name, stuck in itertools.product(sites, (0, 1)):
+        comb, site, observe, (miter, out) = _full_scan_miter(circuit, name, stuck)
+        expected = []
+        for bits in itertools.product((0, 1), repeat=len(comb.inputs)):
+            inputs = dict(zip(comb.inputs, bits))
+            good = _evaluate_stuck(comb, inputs)
+            faulty = _evaluate_stuck(comb, inputs, site, stuck)
+            expected.append(int(any(good[n] != faulty[n] for n in observe)))
+        assert _miter_outputs(comb, miter, out) == expected
 
 
 def test_fault_naming(fig1):
@@ -81,8 +176,6 @@ def test_enumerate_covers_both_polarities(s27_circuit):
 
 
 def test_relaxable_sites_definition_on_fig1(fig1):
-    from repro.circuit.gates import GateType
-
     detection = detect_multi_cycle_pairs(fig1)
     relaxable = relaxable_fault_sites(fig1, detection)
     # OUT observes FF2 directly: FF2 is in a PO cone, never relaxable.

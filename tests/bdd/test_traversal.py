@@ -10,8 +10,8 @@ from repro.bdd.traversal import (
     build_node_bdds,
 )
 from repro.circuit.library import binary_counter, gray_counter
-from repro.core.brute import brute_force_mc_pairs
 
+from tests.oracles.brute import brute_force_mc_pairs
 from tests.strategies import random_sequential_circuit, seeds
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.circuit.library import shift_register
 from repro.circuit.topology import FFPair
-from repro.core.brute import (
+
+from tests.oracles.brute import (
     brute_force_is_multi_cycle,
     brute_force_k_cycle_pairs,
     brute_force_mc_pairs,

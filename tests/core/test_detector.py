@@ -10,7 +10,6 @@ from hypothesis import given
 
 from repro.bdd.traversal import bdd_detect_multi_cycle_pairs
 from repro.circuit.library import enabled_pipeline
-from repro.core.brute import brute_force_mc_pairs
 from repro.core.detector import (
     DetectorOptions,
     MultiCycleDetector,
@@ -19,6 +18,7 @@ from repro.core.detector import (
 from repro.core.result import Classification, Stage
 from repro.sat.mc_sat import sat_detect_multi_cycle_pairs
 
+from tests.oracles.brute import brute_force_mc_pairs
 from tests.strategies import random_sequential_circuit, seeds
 
 

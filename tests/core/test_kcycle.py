@@ -5,10 +5,10 @@ from hypothesis import given
 
 from repro.circuit.library import enabled_pipeline
 from repro.circuit.topology import FFPair, connected_ff_pairs
-from repro.core.brute import brute_force_k_cycle_pairs
 from repro.core.kcycle import KCycleAnalyzer, is_k_cycle_pair, max_cycles
 from repro.core.result import Classification
 
+from tests.oracles.brute import brute_force_k_cycle_pairs
 from tests.strategies import random_sequential_circuit, seeds
 
 

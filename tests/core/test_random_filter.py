@@ -4,9 +4,9 @@ from hypothesis import given
 
 from repro.circuit.library import fig1_circuit
 from repro.circuit.topology import connected_ff_pairs
-from repro.core.brute import brute_force_mc_pairs
 from repro.core.random_filter import random_filter
 
+from tests.oracles.brute import brute_force_mc_pairs
 from tests.strategies import random_sequential_circuit, seeds
 
 
@@ -73,7 +73,7 @@ def test_max_rounds_cap(fig1):
 
 def test_random_filter_k_sound(fig1):
     """k-frame drops may only remove pairs that truly violate k-cycle."""
-    from repro.core.brute import brute_force_k_cycle_pairs
+    from tests.oracles.brute import brute_force_k_cycle_pairs
     from repro.core.random_filter import random_filter_k
 
     pairs = connected_ff_pairs(fig1)

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from repro.circuit.library import shift_register
 from repro.circuit.timeframe import expand_cached
 from repro.circuit.topology import FFPair, connected_ff_pairs
-from repro.core.brute import brute_force_mc_pairs
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.pair_analysis import PairAnalyzer
 from repro.core.result import Classification
 from repro.core.session import DecisionSession, launch_runs
 from repro.core.trace import Tracer
 from repro.core.workqueue import launch_units
+from tests.oracles.brute import brute_force_mc_pairs
+from tests.oracles.pair_analysis import PairAnalyzer
 from tests.strategies import random_sequential_circuit, seeds, shuffled
 
 

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given
 
-from repro.core.brute import brute_force_mc_pairs
 from repro.sat.mc_sat import SatMcDetector, sat_detect_multi_cycle_pairs
 
+from tests.oracles.brute import brute_force_mc_pairs
 from tests.strategies import random_sequential_circuit, seeds
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.circuit.csr import csr_arrays
 from repro.circuit.library import fig1_circuit
 from repro.circuit.timeframe import expand_cached
+from repro.core.detector import DetectorOptions
 from repro.logic.simplan import compiled_plan
 from repro.store.backplane import (
     AttachedBackplane,
@@ -147,3 +148,13 @@ def test_publish_empty_is_valid():
         assert attached.kinds == ()
     finally:
         published.close_and_unlink()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_unknown_backplane_mode_rejected_when_options_are_built(workers):
+    """A mistyped mode fails at once, also for a run that would decide
+    in-process and never publish (serial, or below ``parallel_threshold``)."""
+    with pytest.raises(ValueError, match="DetectorOptions.backplane"):
+        DetectorOptions(backplane="of", workers=workers)
+    for mode in ("auto", "on", "off"):
+        assert DetectorOptions(backplane=mode, workers=workers).backplane == mode
