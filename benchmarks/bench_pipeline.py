@@ -240,7 +240,12 @@ def _sustained_decision(circuit) -> tuple[int, float, float]:
     expansion = expand_cached(circuit, frames=2)
 
     def timed(share_prefix: bool) -> float:
-        session = DecisionSession(expansion, share_prefix=share_prefix)
+        # The scalar engine's ATPG ladder, which the prefix cache serves
+        # (packing and the SAT tier would bypass it).
+        session = DecisionSession(
+            expansion, share_prefix=share_prefix,
+            backtrack_limit=50, packed="off",
+        )
         started = time.perf_counter()
         session.decide_group(survivors)
         return time.perf_counter() - started

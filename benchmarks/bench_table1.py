@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.detector import detect_multi_cycle_pairs
+from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 from repro.sat.mc_sat import sat_detect_multi_cycle_pairs
 from repro.reporting.tables import run_table1
 
@@ -30,10 +30,13 @@ _IDS = [c.name for c in _CIRCUITS]
 #: timed comparison to circuits where it finishes in sensible time.
 _SAT_BENCH_MAX_GATES = 1000
 
+#: the paper's settings: a 50-backtrack ATPG search before the SAT tier.
+PAPER = DetectorOptions(backtrack_limit=50)
+
 
 @pytest.mark.parametrize("circuit", _CIRCUITS, ids=_IDS)
 def test_table1_ours(benchmark, circuit):
-    result = benchmark(detect_multi_cycle_pairs, circuit)
+    result = benchmark(detect_multi_cycle_pairs, circuit, PAPER)
     assert result.connected_pairs >= len(result.multi_cycle_pairs)
 
 
@@ -44,7 +47,7 @@ def test_table1_ours(benchmark, circuit):
 )
 def test_table1_sat_baseline(benchmark, circuit):
     result = benchmark(sat_detect_multi_cycle_pairs, circuit, mode="per-pair")
-    reference = detect_multi_cycle_pairs(circuit)
+    reference = detect_multi_cycle_pairs(circuit, PAPER)
     assert result.multi_cycle_pair_names() == reference.multi_cycle_pair_names()
 
 
@@ -52,14 +55,15 @@ def test_table1_report(benchmark, bench_circuits):
     """Regenerate and print the full Table 1 (agreement asserted per row)."""
     timed = [c for c in bench_circuits if c.num_gates <= _SAT_BENCH_MAX_GATES]
     table, detections = benchmark.pedantic(
-        run_table1, args=(timed,), kwargs={"sat_mode": "per-pair"},
+        run_table1, args=(timed,),
+        kwargs={"options": PAPER, "sat_mode": "per-pair"},
         rounds=1, iterations=1,
     )
     for row, detection in zip(table.rows, detections):
         assert row[4] == row[6], f"SAT baseline disagrees on {row[0]}"
     untimed = [c for c in bench_circuits if c.num_gates > _SAT_BENCH_MAX_GATES]
     if untimed:
-        extra, _ = run_table1(untimed, run_sat=False)
+        extra, _ = run_table1(untimed, PAPER, run_sat=False)
         table.rows[-1:-1] = extra.rows[:-1]
         table.notes.append(
             "SAT column omitted for circuits above "

@@ -14,7 +14,7 @@ import pytest
 from repro.circuit.timeframe import expand
 from repro.circuit.topology import connected_ff_pairs
 from repro.core.random_filter import random_filter
-from repro.core.detector import detect_multi_cycle_pairs
+from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 from repro.core.session import DecisionSession
 from repro.reporting.tables import run_table2
 
@@ -23,6 +23,9 @@ from repro.bench_gen.suite import suite
 
 _CIRCUITS = suite(PROFILE)
 _IDS = [c.name for c in _CIRCUITS]
+
+#: the paper's settings: a 50-backtrack ATPG search before the SAT tier.
+PAPER = DetectorOptions(backtrack_limit=50)
 
 
 @pytest.mark.parametrize("circuit", _CIRCUITS, ids=_IDS)
@@ -39,16 +42,17 @@ def test_stage_implication_and_atpg(benchmark, circuit):
     expansion = expand(circuit, frames=2)
 
     def analyse_all():
-        # The production decision session, with the detector's default
-        # packed pre-pass setting.
-        return DecisionSession(expansion, packed="auto").decide_group(pairs)
+        # The production decision session at the paper's budget.
+        return DecisionSession(
+            expansion, backtrack_limit=PAPER.backtrack_limit
+        ).decide_group(pairs)
 
     results = benchmark(analyse_all)
     assert len(results) == len(pairs)
 
 
 def test_table2_report(benchmark, bench_circuits):
-    detections = [detect_multi_cycle_pairs(c) for c in bench_circuits]
+    detections = [detect_multi_cycle_pairs(c, PAPER) for c in bench_circuits]
     table = benchmark.pedantic(
         run_table2, args=(bench_circuits,), kwargs={"detections": detections},
         rounds=1, iterations=1,

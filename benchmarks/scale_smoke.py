@@ -9,7 +9,9 @@ child dies with ``MemoryError`` and the smoke fails loudly.  On success
 the child's ``peak_rss_bytes`` is additionally gated against the
 committed baseline (the ``scale`` section of ``BENCH_pipeline.json``)
 with a growth tolerance, so creeping regressions under the hard ceiling
-are caught too.
+are caught too.  The same run must leave at most ``--max-undecided``
+pairs UNDECIDED (default 0): the SAT tier settles every case the
+implication closure leaves open, so a pair left unsettled is a defect.
 
 Peak RSS is stable across same-arch machines (it is dominated by data
 structure sizes, not clock speed), which is why — unlike the throughput
@@ -27,7 +29,7 @@ Usage::
 
     python scale_smoke.py [--circuit syn20000] [--rss-limit-mb 1024]
         [--baseline ../BENCH_pipeline.json] [--tolerance 0.5]
-        [--workers 2]
+        [--workers 2] [--max-undecided 0]
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.5,
                         help="allowed fractional peak-RSS growth over the "
                              "baseline (default: 0.5)")
+    parser.add_argument("--max-undecided", type=int, default=0,
+                        help="most UNDECIDED pairs the run may leave "
+                             "(default: 0)")
     parser.add_argument("--workers", type=int, default=2,
                         help="worker count for the aggregate-RSS probe "
                              "(0 disables it; default: 2)")
@@ -92,8 +97,15 @@ def main(argv: list[str] | None = None) -> int:
         f"{report['circuit']}: {report['num_gates']} gates, "
         f"{report['num_dffs']} FFs, {report['connected_pairs']} pairs, "
         f"{report['wall_seconds']}s, peak RSS {peak_mb:.1f} MB "
-        f"(ceiling {args.rss_limit_mb} MB)"
+        f"(ceiling {args.rss_limit_mb} MB), {report['undecided']} undecided"
     )
+    if report["undecided"] > args.max_undecided:
+        print(
+            f"SCALE SMOKE FAILED: {report['undecided']} pairs left "
+            f"UNDECIDED (at most {args.max_undecided} allowed)",
+            file=sys.stderr,
+        )
+        return 1
 
     reference = baseline_rss(args.baseline, args.circuit)
     if reference:

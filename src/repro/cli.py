@@ -49,7 +49,10 @@ def load(path: str):
 
 def _detector_options(args: argparse.Namespace) -> DetectorOptions:
     return DetectorOptions(
-        backtrack_limit=args.backtrack_limit,
+        backtrack_limit=(
+            DetectorOptions.backtrack_limit if args.backtrack_limit is None
+            else args.backtrack_limit
+        ),
         static_learning=args.static_learning,
         implication_db=args.implication_db,
         lint=args.lint,
@@ -86,8 +89,11 @@ def _tracer_for(args: argparse.Namespace):
 
 
 def _add_detector_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backtrack-limit", type=int, default=50,
-                        help="ATPG backtrack limit (paper default: 50)")
+    parser.add_argument("--backtrack-limit", type=int, default=None,
+                        help="ATPG backtrack budget per case before the SAT "
+                             "tier decides it (default: 0, straight to SAT; "
+                             "the paper used 50).  kcycle has no SAT tier "
+                             "and defaults to the paper's 50")
     parser.add_argument("--static-learning", action="store_true",
                         help="pre-compute SOCRATES-style global implications")
     parser.add_argument("--implication-db", action="store_true",
@@ -293,6 +299,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
               f"{session['prefix_misses']}, "
               f"{session['launch_conflicts']} launch conflicts, "
               f"trail high-water {session['trail_high_water']}")
+        print(f"SAT tier:           {session['sat_solves']} solves "
+              f"({session['sat_refuted']} refuted / "
+              f"{session['sat_witnessed']} witnessed / "
+              f"{session['sat_aborted']} out of budget)")
     packed = result.packed_implication
     if packed:
         print(f"packed implication: {packed['lanes']} lanes packed, "
@@ -430,13 +440,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_kcycle(args: argparse.Namespace) -> int:
     """k-cycle pair detection for k = 2..max_k."""
-    from repro.core.kcycle import KCycleDetector
+    from repro.core.kcycle import KCYCLE_BACKTRACK_LIMIT, KCycleDetector
 
     circuit = load(args.file)
     with _tracer_for(args) as tracer:
         for k in range(2, args.max_k + 1):
             result = KCycleDetector(
-                circuit, k, backtrack_limit=args.backtrack_limit,
+                circuit, k,
+                backtrack_limit=(
+                    KCYCLE_BACKTRACK_LIMIT if args.backtrack_limit is None
+                    else args.backtrack_limit
+                ),
                 sim_words=args.sim_words, sim_seed=args.seed,
                 sim_round_batch=args.sim_round_batch,
                 include_self_loops=not args.no_self_loops,

@@ -69,13 +69,15 @@ from repro.core.result import (
     PairResult,
     Stage,
 )
+from repro.core.session import SAT_CONFLICT_LIMIT
 from repro.core.trace import ProgressFn, Tracer
 from repro.store.artifact_store import ArtifactStore
 
 #: prior records settled by these stages may be inherited; simulation
 #: verdicts are always re-derived fresh.
 _DECIDE_STAGES = frozenset({
-    Stage.IMPLICATION.value, Stage.ATPG.value, Stage.DECISION.value,
+    Stage.IMPLICATION.value, Stage.ATPG.value, Stage.SAT.value,
+    Stage.DECISION.value,
 })
 
 #: engines whose records depend on global structure (expanded node ids
@@ -95,7 +97,10 @@ def options_fingerprint(
     Execution-shape options (workers, unit sizing, lane packing, the
     launch-prefix cache) are excluded — prior PRs pin their record
     byte-identity.  Simulation options are excluded too: the random
-    filter reruns fresh on every incremental pass.  When a
+    filter reruns fresh on every incremental pass.  The SAT tier's
+    conflict budget is part of the digest, so a bundle written before
+    the tier existed (whose budget-exhausted pairs sit UNDECIDED) is
+    re-decided once rather than inherited.  When a
     globally-sensitive feature is on (learned tables, the SAT/BDD
     engines) the circuit's structural hash is mixed in, so any edit
     invalidates every prior record.  The ``scoap`` engine is not one:
@@ -106,6 +111,7 @@ def options_fingerprint(
         f"frames={frames}",
         f"engine={options.search_engine}",
         f"backtrack={options.backtrack_limit}",
+        f"sat_conflicts={SAT_CONFLICT_LIMIT}",
         f"static_learning={options.static_learning}",
         f"implication_db={options.implication_db}",
     ]

@@ -33,6 +33,11 @@ from repro.core.result import Classification, PairResult, Stage
 from repro.core.session import launch_runs
 from repro.core.trace import ProgressFn, Tracer
 
+#: backtrack budget of the k-cycle search.  The k-cycle analysis has no
+#: SAT tier, so it keeps the paper's 50; an aborted search leaves the
+#: pair UNDECIDED.
+KCYCLE_BACKTRACK_LIMIT = 50
+
 
 @dataclass
 class KCycleResult:
@@ -48,7 +53,7 @@ class KCycleAnalyzer:
         self,
         circuit: Circuit,
         k: int,
-        backtrack_limit: int = 50,
+        backtrack_limit: int = KCYCLE_BACKTRACK_LIMIT,
         expansion=None,
     ) -> None:
         if k < 2:
@@ -171,7 +176,7 @@ class KCycleAnalyzer:
 
 
 def is_k_cycle_pair(
-    circuit: Circuit, pair: FFPair, k: int, backtrack_limit: int = 50
+    circuit: Circuit, pair: FFPair, k: int, backtrack_limit: int = KCYCLE_BACKTRACK_LIMIT
 ) -> bool:
     """True when every path of ``pair`` may take up to ``k`` cycles."""
     result = KCycleAnalyzer(circuit, k, backtrack_limit).analyze(pair)
@@ -182,7 +187,7 @@ def max_cycles(
     circuit: Circuit,
     pair: FFPair,
     k_max: int = 8,
-    backtrack_limit: int = 50,
+    backtrack_limit: int = KCYCLE_BACKTRACK_LIMIT,
 ) -> int:
     """Largest ``k <= k_max`` for which ``pair`` is a k-cycle pair.
 
@@ -232,7 +237,7 @@ class KCycleDecider:
     which also makes it shardable across worker processes.
     """
 
-    def __init__(self, k: int, backtrack_limit: int = 50) -> None:
+    def __init__(self, k: int, backtrack_limit: int = KCYCLE_BACKTRACK_LIMIT) -> None:
         self.name = f"kcycle-{k}"
         self.k = k
         self.frames = k
@@ -279,7 +284,7 @@ class KCycleDetector:
         self,
         circuit: Circuit,
         k: int,
-        backtrack_limit: int = 50,
+        backtrack_limit: int = KCYCLE_BACKTRACK_LIMIT,
         sim_words: int = 4,
         sim_max_rounds: int = 256,
         sim_seed: int = 2002,

@@ -97,8 +97,13 @@ class DetectorOptions:
     sim_seed: int = 2002
     #: skip the random-simulation stage entirely (ablation).
     use_random_sim: bool = True
-    #: ATPG backtrack limit; the paper used 50 (more for a few circuits).
-    backtrack_limit: int = 50
+    #: ATPG backtrack budget per case before the SAT tier decides it.
+    #: The paper used 50 (more for a few circuits); 0 (the default)
+    #: never enters the backtrack search — every case implication leaves
+    #: open goes straight to the cone-restricted SAT solve of
+    #: :mod:`repro.core.session`, which settles what the search would
+    #: have aborted on.
+    backtrack_limit: int = 0
     #: pre-compute SOCRATES-style global implications before ATPG.
     static_learning: bool = False
     #: use the compiled global implication database

@@ -18,8 +18,9 @@ class Classification(Enum):
 
     MULTI_CYCLE = "multi-cycle"
     SINGLE_CYCLE = "single-cycle"
-    #: ATPG hit its backtrack limit; treated as single-cycle downstream
-    #: (no timing relaxation is claimed for it).
+    #: the SAT tier ran out of its conflict budget (or a non-session
+    #: engine gave up); treated as single-cycle downstream (no timing
+    #: relaxation is claimed for it).
     UNDECIDED = "undecided"
 
 
@@ -29,6 +30,9 @@ class Stage(Enum):
     SIMULATION = "sim"
     IMPLICATION = "implication"
     ATPG = "atpg"
+    #: a case implication left open (or the ATPG search gave up on) was
+    #: decided by the session's cone-restricted SAT solve.
+    SAT = "sat"
     #: settled by a non-implication decision engine (SAT / BDD deciders);
     #: the paper's three-stage attribution does not apply to those.
     DECISION = "decision"
@@ -45,20 +49,26 @@ class CaseOutcome(Enum):
     PROVED_STABLE = "proved-stable"
     #: a violating pattern was found — the pair is single-cycle
     VIOLATED = "violated"
-    #: the backtrack limit was exhausted
+    #: the SAT tier's conflict budget was exhausted
     ABORTED = "aborted"
 
 
 @dataclass
 class CaseResult:
-    """Per-case record; ``a``/``b`` are the assumed FF values."""
+    """Per-case record; ``a``/``b`` are the assumed FF values.
+
+    ``decisions``/``backtracks`` count the ATPG search's effort (0 when
+    the case skipped it); a SAT-tier answer adds no solver counters.
+    """
 
     a: int
     b: int
     outcome: CaseOutcome
     decisions: int = 0
     backtracks: int = 0
-    #: violating free-input pattern, by expanded-circuit node id (SAT only)
+    #: violating free-input pattern, by expanded-circuit node id (VIOLATED
+    #: only): every expanded input, X = don't care (a SAT-tier witness
+    #: sets exactly the inputs of the case's cones).
     witness: dict[int, int] | None = None
 
 

@@ -31,18 +31,41 @@ The session runs on the O(1)-checkpoint array engine of
 :mod:`repro.atpg.implication` and is what the ``dalg``/``podem``/
 ``scoap`` deciders build in ``prepare()``; the parallel decision stage
 shards whole launch runs so the prefix reuse survives in workers.
+
+**The decision ladder.**  A case implication leaves open climbs
+implication → ATPG search (``backtrack_limit`` backtracks; a zero
+budget skips it) → SAT.  The SAT tier is one assumption solve on a
+:class:`~repro.sat.tseitin.ConeEncoder` the session grows lazily: only
+the fanin cones of ``FF_i@t``, ``FF_i@t+1``, ``FF_j@t+1`` and
+``FF_j@t+2`` are encoded, under a :data:`SAT_CONFLICT_LIMIT` budget.
+UNSAT proves the case stable (or contradicted, when implication had
+already forced ``FF_j(t+2) = ¬b``); SAT is a violation with a model
+witness; running out of conflicts leaves the pair UNDECIDED.
+
+Records never depend on solve history.  The shared solver carries
+clauses learned on earlier cases, which changes how fast it answers and
+which model it finds, never whether a case is satisfiable.  So an UNSAT
+answer is recorded without solver counters, and a SAT or budget answer
+is re-solved on a fresh encoder over the case's own cone, whose answer
+(and witness) is a function of that cone alone.  Records are then the
+same for every worker count, unit size, packed mode and incremental
+run — unless a history-warmed solve proves UNSAT a case a fresh solve
+could not prove within the budget, which the budget's margin over the
+conflicts cases need in practice (see docs/algorithms.md) keeps out of
+reach.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.circuit.csr import csr_arrays
 from repro.circuit.timeframe import TimeFrameExpansion
 from repro.circuit.topology import FFPair
-from repro.logic.values import BINARY
+from repro.logic.values import BINARY, X
 from repro.atpg.implication import ImplicationEngine, LearnedTable
 from repro.atpg.justify import SearchStatus, justify
 from repro.core.result import (
@@ -52,6 +75,9 @@ from repro.core.result import (
     PairResult,
     Stage,
 )
+
+if TYPE_CHECKING:
+    from repro.sat.tseitin import ConeEncoder
 
 #: available backtrack-search engines (paper §4.5 compares these styles)
 SEARCH_ENGINES = ("dalg", "podem")
@@ -65,9 +91,22 @@ PACKED_MODES = ("auto", "on", "off")
 #: the shared closure wins and keeps winning as circuits grow.
 PACKED_AUTO_MIN_NODES = 160
 
-#: a decided case resolved by the packed closure — mapping key is
-#: ``(pair index in the group, a, b)``.
-PackedResolved = dict[tuple[int, int, int], CaseResult]
+#: conflict budget of one SAT-tier solve.  A case that exhausts it on
+#: the shared solver and again on a fresh one stays ABORTED and its pair
+#: UNDECIDED.  Far above what the benchmark workloads need per case.
+SAT_CONFLICT_LIMIT = 20_000
+
+#: a packed-closure case key: ``(pair index in the group, a, b)``.
+CaseKey = tuple[int, int, int]
+
+
+class PackedPass(NamedTuple):
+    """What the packed closure learned about one group's cases."""
+
+    #: cases it settled (contradiction or implied-stable), by key.
+    resolved: dict[CaseKey, CaseResult]
+    #: open cases whose closure forced ``FF_j(t+2) = ¬b``.
+    forced: set[CaseKey]
 
 
 def launch_runs(pairs: Sequence[FFPair]) -> list[tuple[int, int]]:
@@ -93,13 +132,16 @@ def launch_runs(pairs: Sequence[FFPair]) -> list[tuple[int, int]]:
 
 
 class DecisionSession:
-    """Implication/ATPG decisions over one expansion, launch-prefix cached.
+    """Implication/ATPG/SAT decisions over one expansion, launch-prefix cached.
 
     Built once per expanded circuit (per process); :meth:`decide_group`
     settles a list of pairs and returns ``(PairResult, seconds)`` per
-    pair in input order.  ``share_prefix=False`` disables the launch
-    cache (each case re-derives the full three-assumption premise, the
-    pre-session behaviour) — an ablation switch, reached through
+    pair in input order.  The defaults are the detector's
+    (``DetectorOptions.backtrack_limit`` and ``packed_implication``), so
+    a session built directly runs the same ladder the detector does.
+    ``share_prefix=False`` disables the launch cache (each case
+    re-derives the full three-assumption premise, the pre-session
+    behaviour) — an ablation switch, reached through
     ``DetectorOptions.launch_prefix`` / ``--no-launch-prefix``.
 
     ``packed`` ("auto"/"on"/"off", via ``--packed-implication``) runs
@@ -107,22 +149,23 @@ class DecisionSession:
     :mod:`repro.atpg.packed_implication` first: up to 64 cases per
     uint64 word share one implication fixpoint, and every case it
     proves contradicted or implied-stable skips the scalar engine
-    entirely.  Cases needing a backtrack search fall back to the scalar
-    path, so verdicts and ``pair_records`` are byte-identical in every
-    mode; "auto" enables packing at :data:`PACKED_AUTO_MIN_NODES`
-    expanded nodes.
+    entirely.  A case the closure leaves open goes straight to the SAT
+    tier when ``backtrack_limit`` is 0, and to the scalar engine's
+    search otherwise, so verdicts and ``pair_records`` are
+    byte-identical in every mode; "auto" enables packing at
+    :data:`PACKED_AUTO_MIN_NODES` expanded nodes.
     """
 
     def __init__(
         self,
         expansion: TimeFrameExpansion,
         *,
-        backtrack_limit: int = 50,
+        backtrack_limit: int = 0,
         learned: LearnedTable | None = None,
         search_engine: str = "dalg",
         scoap_guidance: bool = False,
         share_prefix: bool = True,
-        packed: str = "off",
+        packed: str = "auto",
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         if expansion.frames < 2:
@@ -141,6 +184,7 @@ class DecisionSession:
         )
         self._learned = learned
         self._packed_engine = None
+        self._cone: ConeEncoder | None = None
         self.clock = clock
         if search_engine == "podem":
             from repro.atpg.podem import podem_justify
@@ -169,6 +213,10 @@ class DecisionSession:
         self.packed_resolved = 0
         self.packed_fallbacks = 0
         self.packed_us = 0
+        self.sat_solves = 0
+        self.sat_refuted = 0
+        self.sat_witnessed = 0
+        self.sat_aborted = 0
 
     def stats(self) -> dict[str, int]:
         """Counter snapshot for the ``decision_session`` summary event.
@@ -179,7 +227,9 @@ class DecisionSession:
         packed closure settles never touch the scalar engine, so
         ``implications`` and the prefix counters drop while the case
         records stay byte-identical; the packed block is what accounts
-        for the difference.
+        for the difference.  The ``sat_*`` counters count SAT-tier cases
+        by recorded answer (refuted, witnessed, aborted); like the
+        records they do not depend on solve history.
         """
         stats = {
             "pairs": self.pairs_decided,
@@ -188,6 +238,10 @@ class DecisionSession:
             "launch_conflicts": self.launch_conflicts,
             "implications": self.engine.implications,
             "trail_high_water": self.trail_high_water,
+            "sat_solves": self.sat_solves,
+            "sat_refuted": self.sat_refuted,
+            "sat_witnessed": self.sat_witnessed,
+            "sat_aborted": self.sat_aborted,
         }
         if self.packed_enabled:
             packed = self._packed_engine
@@ -211,18 +265,18 @@ class DecisionSession:
     ) -> list[tuple[PairResult, float]]:
         """Settle ``pairs`` in order; returns ``(result, seconds)`` each."""
         out: list[tuple[PairResult, float] | None] = [None] * len(pairs)
-        resolved: PackedResolved | None = None
+        packed: PackedPass | None = None
         packed_share = 0.0
         if self.packed_enabled and pairs:
             started = self.clock()
-            resolved = self._packed_resolve(pairs)
+            packed = self._packed_resolve(pairs)
             packed_share = (self.clock() - started) / len(pairs)
         if self.share_prefix:
             for start, end in launch_runs(pairs):
-                self._decide_run(pairs, start, end, out, resolved)
+                self._decide_run(pairs, start, end, out, packed)
         else:
             for index, pair in enumerate(pairs):
-                out[index] = self._decide_fresh(pair, index, resolved)
+                out[index] = self._decide_fresh(pair, index, packed)
         self.pairs_decided += len(pairs)
         if packed_share:
             # The shared closure's cost is attributed evenly — per-pair
@@ -235,7 +289,7 @@ class DecisionSession:
     # ------------------------------------------------------------------
     # Packed pre-pass.
     # ------------------------------------------------------------------
-    def _packed_resolve(self, pairs: Sequence[FFPair]) -> PackedResolved:
+    def _packed_resolve(self, pairs: Sequence[FFPair]) -> PackedPass:
         """Settle search-free cases of ``pairs`` in packed closures.
 
         Every pair contributes its four ``(a, b)`` cases as lanes of a
@@ -246,8 +300,10 @@ class DecisionSession:
         contradicts on the stability probe ``FF_j(t+2) = 1-b`` — is
         ``IMPLIED_STABLE``.  Exactly those outcomes carry no search
         effort in the scalar path, so the returned records are
-        byte-identical to what the fallback would have produced; every
-        other lane (a search is required) is left to the scalar engine.
+        byte-identical to what the fallback would have produced.  Every
+        other lane is open; the ones whose closure forced the target to
+        ``1-b`` are listed in ``forced``, which is what the scalar
+        engine's own closure would have told the SAT tier.
         """
         from repro.atpg.packed_implication import (
             MAX_LANES,
@@ -263,7 +319,8 @@ class DecisionSession:
             self._packed_engine = engine
         expansion = self.expansion
         ff_at = expansion.ff_at
-        resolved: PackedResolved = {}
+        resolved: dict[CaseKey, CaseResult] = {}
+        forced: set[CaseKey] = set()
         chunk = MAX_LANES // 4
         for chunk_start in range(0, len(pairs), chunk):
             block = pairs[chunk_start:chunk_start + chunk]
@@ -299,23 +356,59 @@ class DecisionSession:
                 probe_stable[open_lanes] = engine.conflict_lanes(open_lanes)
             for lane in range(lanes):
                 a, b = (lane >> 1) & 1, lane & 1
+                key = (chunk_start + (lane >> 2), a, b)
                 if conflicted[lane]:
                     outcome = CaseOutcome.CONTRADICTION
                 elif known[lane]:
                     if value[lane] != b:
-                        continue  # implied unstable: search required
+                        forced.add(key)  # implied unstable: search required
+                        continue
                     outcome = CaseOutcome.IMPLIED_STABLE
                 elif probe_stable[lane]:
                     outcome = CaseOutcome.IMPLIED_STABLE
                 else:
                     continue  # target free both ways: search required
-                key = (chunk_start + (lane >> 2), a, b)
                 resolved[key] = CaseResult(a, b, outcome)
             self.packed_lanes += lanes
         self.packed_resolved += len(resolved)
         self.packed_fallbacks += 4 * len(pairs) - len(resolved)
         self.packed_us += int((self.clock() - started) * 1e6)
-        return resolved
+        return PackedPass(resolved, forced)
+
+    def _case_nodes(self, pair: FFPair) -> tuple[int, int, int, int]:
+        """``(FF_i@t, FF_i@t+1, FF_j@t+1, FF_j@t+2)`` expanded node ids."""
+        expansion = self.expansion
+        source_index = expansion.ff_index(pair.source)
+        sink_index = expansion.ff_index(pair.sink)
+        return (
+            expansion.ff_at[0][source_index],
+            expansion.ff_at[1][source_index],
+            expansion.ff_at[1][sink_index],
+            expansion.ff_at[2][sink_index],
+        )
+
+    def _packed_case(
+        self,
+        packed: PackedPass | None,
+        key: CaseKey,
+        nodes: tuple[int, int, int, int],
+    ) -> tuple[CaseResult, bool] | None:
+        """The packed closure's answer for one case, if it settles it.
+
+        ``(case, via_sat)`` for a case the closure resolved, or — at a
+        zero backtrack budget, where no scalar search would run — for an
+        open case, decided by the SAT tier without touching the scalar
+        engine.  ``None`` sends the case to the scalar engine.
+        """
+        if packed is None:
+            return None
+        case = packed.resolved.get(key)
+        if case is not None:
+            return case, False
+        if self.backtrack_limit > 0:
+            return None
+        _, a, b = key
+        return self._sat_case(nodes, a, b, key in packed.forced), True
 
     def _decide_run(
         self,
@@ -323,7 +416,7 @@ class DecisionSession:
         start: int,
         end: int,
         out: list,
-        resolved: PackedResolved | None = None,
+        packed: PackedPass | None = None,
     ) -> None:
         """Settle one same-source run, sharing the launch prefixes.
 
@@ -333,22 +426,22 @@ class DecisionSession:
         exactly once.  The prefix propagation is timed (and its
         implications counted) inside the first unsettled pair's block.
 
-        ``resolved`` (the packed pre-pass) supplies finished case
-        records keyed by ``(pair index, a, b)``; the prefix push is lazy
-        — it happens at the first case the packed closure left open, so
-        a fully packed-settled round never touches the scalar engine.
+        ``packed`` (the packed pre-pass) supplies finished case records
+        keyed by ``(pair index, a, b)``; the prefix push is lazy — it
+        happens at the first case that needs the scalar engine, so a
+        round the packed closure and the SAT tier settle never touches
+        it.
         """
-        expansion = self.expansion
         engine = self.engine
         clock = self.clock
-        source_index = expansion.ff_index(pairs[start].source)
-        ffi_t = expansion.ff_at[0][source_index]
-        ffi_t1 = expansion.ff_at[1][source_index]
+        nodes = [self._case_nodes(pairs[start + i]) for i in range(end - start)]
+        ffi_t, ffi_t1 = nodes[0][0], nodes[0][1]
 
         count = end - start
         cases: list[list[CaseResult]] = [[] for _ in range(count)]
         verdict: list[tuple[Classification, Stage] | None] = [None] * count
         used_search = [False] * count
+        used_sat = [False] * count
         seconds = [0.0] * count
         implications = [0] * count
         hits = [0] * count
@@ -363,12 +456,9 @@ class DecisionSession:
                 started = clock()
                 posted_before = engine.implications
                 prefix_counted = False
-                ffj_t1 = ffj_t2 = -1
                 for b in BINARY:
-                    case = None
-                    if resolved is not None:
-                        case = resolved.get((start + i, a, b))
-                    if case is None:
+                    settled = self._packed_case(packed, (start + i, a, b), nodes[i])
+                    if settled is None:
                         if prefix_ok is None:
                             mark = engine.checkpoint()
                             prefix_ok = engine.assume_all(
@@ -387,25 +477,18 @@ class DecisionSession:
                         if not prefix_ok:
                             # The launch assumption itself is impossible:
                             # the capture case is contradicted outright.
-                            case = CaseResult(a, b, CaseOutcome.CONTRADICTION)
+                            settled = (
+                                CaseResult(a, b, CaseOutcome.CONTRADICTION),
+                                False,
+                            )
                         else:
-                            if ffj_t1 < 0:
-                                pair = pairs[start + i]
-                                sink_index = expansion.ff_index(pair.sink)
-                                ffj_t1 = expansion.ff_at[1][sink_index]
-                                ffj_t2 = expansion.ff_at[2][sink_index]
-                            case = self._capture_case(ffj_t1, ffj_t2, a, b)
+                            settled = self._capture_case(nodes[i], a, b)
+                    case, via_sat = settled
                     cases[i].append(case)
-                    if case.decisions:
-                        used_search[i] = True
-                    if case.outcome is CaseOutcome.VIOLATED:
-                        verdict[i] = (
-                            Classification.SINGLE_CYCLE,
-                            Stage.ATPG if case.decisions else Stage.IMPLICATION,
-                        )
-                        break
-                    if case.outcome is CaseOutcome.ABORTED:
-                        verdict[i] = (Classification.UNDECIDED, Stage.ATPG)
+                    used_search[i] = used_search[i] or bool(case.decisions)
+                    used_sat[i] = used_sat[i] or via_sat
+                    verdict[i] = _case_verdict(case, via_sat)
+                    if verdict[i] is not None:
                         break
                 implications[i] += engine.implications - posted_before
                 seconds[i] += clock() - started
@@ -413,15 +496,9 @@ class DecisionSession:
                 engine.backtrack(mark)
 
         for i in range(count):
-            if verdict[i] is not None:
-                classification, stage = verdict[i]
-            else:
-                classification = Classification.MULTI_CYCLE
-                stage = Stage.ATPG if used_search[i] else Stage.IMPLICATION
             result = PairResult(
                 pairs[start + i],
-                classification,
-                stage,
+                *_pair_verdict(verdict[i], used_search[i], used_sat[i]),
                 cases[i],
                 metrics={
                     "implications": implications[i],
@@ -435,55 +512,34 @@ class DecisionSession:
         self,
         pair: FFPair,
         index: int = 0,
-        resolved: PackedResolved | None = None,
+        packed: PackedPass | None = None,
     ) -> tuple[PairResult, float]:
         """Full-premise path (``share_prefix=False``): the pre-session flow."""
-        expansion = self.expansion
         engine = self.engine
         started = self.clock()
         posted_before = engine.implications
-        source_index = expansion.ff_index(pair.source)
-        sink_index = expansion.ff_index(pair.sink)
-        ffi_t = expansion.ff_at[0][source_index]
-        ffi_t1 = expansion.ff_at[1][source_index]
-        ffj_t1 = expansion.ff_at[1][sink_index]
-        ffj_t2 = expansion.ff_at[2][sink_index]
+        nodes = self._case_nodes(pair)
 
         cases: list[CaseResult] = []
         verdict: tuple[Classification, Stage] | None = None
-        used_search = False
+        used_search = used_sat = False
         for a in BINARY:
             for b in BINARY:
-                case = None
-                if resolved is not None:
-                    case = resolved.get((index, a, b))
-                if case is None:
-                    case = self._premise_case(
-                        ffi_t, ffi_t1, ffj_t1, ffj_t2, a, b
-                    )
+                settled = self._packed_case(packed, (index, a, b), nodes)
+                if settled is None:
+                    settled = self._premise_case(nodes, a, b)
+                case, via_sat = settled
                 cases.append(case)
-                if case.decisions:
-                    used_search = True
-                if case.outcome is CaseOutcome.VIOLATED:
-                    verdict = (
-                        Classification.SINGLE_CYCLE,
-                        Stage.ATPG if case.decisions else Stage.IMPLICATION,
-                    )
-                    break
-                if case.outcome is CaseOutcome.ABORTED:
-                    verdict = (Classification.UNDECIDED, Stage.ATPG)
+                used_search = used_search or bool(case.decisions)
+                used_sat = used_sat or via_sat
+                verdict = _case_verdict(case, via_sat)
+                if verdict is not None:
                     break
             if verdict is not None:
                 break
-        if verdict is not None:
-            classification, stage = verdict
-        else:
-            classification = Classification.MULTI_CYCLE
-            stage = Stage.ATPG if used_search else Stage.IMPLICATION
         result = PairResult(
             pair,
-            classification,
-            stage,
+            *_pair_verdict(verdict, used_search, used_sat),
             cases,
             metrics={
                 "implications": engine.implications - posted_before,
@@ -494,85 +550,169 @@ class DecisionSession:
         return result, self.clock() - started
 
     # ------------------------------------------------------------------
-    # Case analysis.
+    # Case analysis.  Each returns ``(case, via_sat)``.
     # ------------------------------------------------------------------
     def _capture_case(
-        self, ffj_t1: int, ffj_t2: int, a: int, b: int
-    ) -> CaseResult:
+        self, nodes: tuple[int, int, int, int], a: int, b: int
+    ) -> tuple[CaseResult, bool]:
         """One case on top of an already-propagated launch prefix."""
         engine = self.engine
         mark = engine.checkpoint()
         try:
-            if not engine.assume(ffj_t1, b):
-                return CaseResult(a, b, CaseOutcome.CONTRADICTION)
+            if not engine.assume(nodes[2], b):
+                return CaseResult(a, b, CaseOutcome.CONTRADICTION), False
             self._note_high_water()
-            return self._case_tail(ffj_t2, a, b)
+            return self._case_tail(nodes, a, b)
         finally:
             engine.backtrack(mark)
 
     def _premise_case(
-        self, ffi_t: int, ffi_t1: int, ffj_t1: int, ffj_t2: int, a: int, b: int
-    ) -> CaseResult:
+        self, nodes: tuple[int, int, int, int], a: int, b: int
+    ) -> tuple[CaseResult, bool]:
         """One case deriving the full three-assumption premise from scratch."""
         engine = self.engine
         mark = engine.checkpoint()
         try:
+            ffi_t, ffi_t1, ffj_t1, _ = nodes
             premise = [(ffi_t, a), (ffi_t1, 1 - a), (ffj_t1, b)]
             if not engine.assume_all(premise):
-                return CaseResult(a, b, CaseOutcome.CONTRADICTION)
+                return CaseResult(a, b, CaseOutcome.CONTRADICTION), False
             self._note_high_water()
-            return self._case_tail(ffj_t2, a, b)
+            return self._case_tail(nodes, a, b)
         finally:
             engine.backtrack(mark)
 
-    def _case_tail(self, ffj_t2: int, a: int, b: int) -> CaseResult:
-        """Shared post-premise logic: implied value checks + searches.
+    def _case_tail(
+        self, nodes: tuple[int, int, int, int], a: int, b: int
+    ) -> tuple[CaseResult, bool]:
+        """Shared post-premise logic: implied value checks, then the ladder.
 
         Mirrors the reference ``PairAnalyzer._analyze_case``, including
         one refinement over the paper's Step 4.1.3: when implication
         derives ``FF_j(t+2) = ¬b`` the paper declares the pair
         single-cycle at once, but that needs the premise to be
-        justifiable, so the search confirms it (an unjustifiable premise
-        counts as a contradiction).
+        justifiable, so the search (or the SAT tier) confirms it — an
+        unjustifiable premise counts as a contradiction.
         """
         engine = self.engine
+        ffj_t2 = nodes[3]
         implied = engine.value(ffj_t2)
         if implied == b:
-            return CaseResult(a, b, CaseOutcome.IMPLIED_STABLE)
-
-        if implied == 1 - b:
-            result = self._search(engine, self.backtrack_limit)
-            if result.status is SearchStatus.SAT:
-                return CaseResult(
-                    a, b, CaseOutcome.VIOLATED,
-                    result.decisions, result.backtracks, result.witness,
-                )
-            if result.status is SearchStatus.ABORTED:
-                return CaseResult(
-                    a, b, CaseOutcome.ABORTED, result.decisions, result.backtracks
-                )
-            return CaseResult(
-                a, b, CaseOutcome.CONTRADICTION,
-                result.decisions, result.backtracks,
-            )
-
-        if not engine.assume(ffj_t2, 1 - b):
-            return CaseResult(a, b, CaseOutcome.IMPLIED_STABLE)
+            return CaseResult(a, b, CaseOutcome.IMPLIED_STABLE), False
+        forced = implied == 1 - b
+        if not forced and not engine.assume(ffj_t2, 1 - b):
+            return CaseResult(a, b, CaseOutcome.IMPLIED_STABLE), False
+        if self.backtrack_limit <= 0:
+            return self._sat_case(nodes, a, b, forced), True
         result = self._search(engine, self.backtrack_limit)
         if result.status is SearchStatus.SAT:
             return CaseResult(
                 a, b, CaseOutcome.VIOLATED,
                 result.decisions, result.backtracks, result.witness,
+            ), False
+        if result.status is SearchStatus.UNSAT:
+            outcome = (
+                CaseOutcome.CONTRADICTION if forced
+                else CaseOutcome.PROVED_STABLE
             )
-        if result.status is SearchStatus.ABORTED:
             return CaseResult(
-                a, b, CaseOutcome.ABORTED, result.decisions, result.backtracks
-            )
-        return CaseResult(
-            a, b, CaseOutcome.PROVED_STABLE, result.decisions, result.backtracks
+                a, b, outcome, result.decisions, result.backtracks
+            ), False
+        # The backtrack budget ran out: escalate, keeping the search's
+        # (deterministic) effort on the record.
+        return self._sat_case(
+            nodes, a, b, forced, result.decisions, result.backtracks
+        ), True
+
+    def _sat_case(
+        self,
+        nodes: tuple[int, int, int, int],
+        a: int,
+        b: int,
+        forced: bool,
+        decisions: int = 0,
+        backtracks: int = 0,
+    ) -> CaseResult:
+        """Decide one case by an assumption solve over its cones.
+
+        The premise ``FF_i(t)=a, FF_i(t+1)=¬a, FF_j(t+1)=b`` plus the
+        violation ``FF_j(t+2)=¬b``: UNSAT settles the case (stable, or
+        contradicted when ``forced``), SAT is a violation.  A SAT or
+        budget answer of the shared solver is re-solved on a fresh
+        encoder over this case's cones alone, and that answer is the
+        one recorded (see the module docstring).
+        """
+        from repro.sat.solver import SolveStatus
+        from repro.sat.tseitin import ConeEncoder
+
+        values = (a, 1 - a, b, 1 - b)
+        cone = self._cone
+        if cone is None:
+            cone = self._cone = ConeEncoder(self.expansion.comb)
+        self.sat_solves += 1
+        status = cone.solver.solve(
+            [cone.lit(n, v) for n, v in zip(nodes, values)],
+            conflict_limit=SAT_CONFLICT_LIMIT,
         )
+        if status is not SolveStatus.UNSAT:
+            cone = ConeEncoder(self.expansion.comb)
+            status = cone.solver.solve(
+                [cone.lit(n, v) for n, v in zip(nodes, values)],
+                conflict_limit=SAT_CONFLICT_LIMIT,
+            )
+        if status is SolveStatus.UNSAT:
+            self.sat_refuted += 1
+            outcome = (
+                CaseOutcome.CONTRADICTION if forced
+                else CaseOutcome.PROVED_STABLE
+            )
+            return CaseResult(a, b, outcome, decisions, backtracks)
+        if status is SolveStatus.SAT:
+            self.sat_witnessed += 1
+            # Shaped like an ATPG witness: every expanded input, X where
+            # the case's cones do not reach.
+            model = cone.input_values()
+            witness = {
+                node: model.get(node, X)
+                for node in csr_arrays(self.expansion.comb).inputs
+            }
+            return CaseResult(
+                a, b, CaseOutcome.VIOLATED, decisions, backtracks, witness
+            )
+        self.sat_aborted += 1
+        return CaseResult(a, b, CaseOutcome.ABORTED, decisions, backtracks)
 
     def _note_high_water(self) -> None:
         depth = self.engine.assignment.num_assigned()
         if depth > self.trail_high_water:
             self.trail_high_water = depth
+
+
+def _case_verdict(
+    case: CaseResult, via_sat: bool
+) -> tuple[Classification, Stage] | None:
+    """The pair verdict one case forces, or ``None`` to go on."""
+    if case.outcome is CaseOutcome.VIOLATED:
+        if via_sat:
+            return Classification.SINGLE_CYCLE, Stage.SAT
+        stage = Stage.ATPG if case.decisions else Stage.IMPLICATION
+        return Classification.SINGLE_CYCLE, stage
+    if case.outcome is CaseOutcome.ABORTED:
+        # Only the SAT tier aborts: an aborted search escalates to it.
+        return Classification.UNDECIDED, Stage.SAT
+    return None
+
+
+def _pair_verdict(
+    verdict: tuple[Classification, Stage] | None,
+    used_search: bool,
+    used_sat: bool,
+) -> tuple[Classification, Stage]:
+    """``(classification, stage)`` of a pair from its settled cases."""
+    if verdict is not None:
+        return verdict
+    if used_sat:
+        return Classification.MULTI_CYCLE, Stage.SAT
+    if used_search:
+        return Classification.MULTI_CYCLE, Stage.ATPG
+    return Classification.MULTI_CYCLE, Stage.IMPLICATION

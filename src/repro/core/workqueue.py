@@ -42,6 +42,7 @@ import multiprocessing as mp
 import time
 import traceback
 from dataclasses import replace
+from multiprocessing.connection import wait
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.circuit.topology import FFPair
@@ -336,15 +337,41 @@ class WorkStealingPool:
             "rss_kb": ready.rss_kb,
         })
 
+    def _receive(self) -> Any:
+        """The next result-queue message, or an error if a worker died.
+
+        Waits on the result queue together with every worker's process
+        sentinel, so a worker that dies without reporting (killed, out
+        of memory, ``os._exit``) ends the run with an error naming it
+        instead of leaving the parent blocked forever.  A message that
+        is already queued is always taken first.
+        """
+        reader = self._results._reader
+        sentinels = {proc.sentinel: wid for wid, proc in enumerate(self._procs)}
+        ready = wait([reader, *sentinels])
+        if reader in ready:
+            return self._results.get()
+        dead = min(sentinels[sentinel] for sentinel in ready)
+        # The sentinel closes as the process exits, a moment before it
+        # can be reaped; join so its exit code is known.
+        self._procs[dead].join(timeout=5)
+        code = self._procs[dead].exitcode
+        pending = self._pending
+        self.shutdown()
+        raise RuntimeError(
+            f"decision worker {dead} died (exit code {code}) with "
+            f"{pending} work unit(s) pending"
+        )
+
     def next_result(self) -> UnitResult:
         """Block for the next settled unit, in completion order."""
         if self._stash:
             outcome: Any = self._stash.pop(0)
         else:
-            outcome = self._results.get()
+            outcome = self._receive()
             while isinstance(outcome, _WorkerReady):
                 self._record_ready(outcome)
-                outcome = self._results.get()
+                outcome = self._receive()
         if isinstance(outcome, _UnitFailure):
             self.shutdown()
             raise RuntimeError(

@@ -133,15 +133,18 @@ def generate_report(
             circuit.name, session["pairs"], session["implications"],
             session["prefix_hits"], session["prefix_misses"],
             session["launch_conflicts"], session["trail_high_water"],
+            session["sat_solves"],
         ])
     if rows:
         session_table = Table(
             "Decision-session counters",
             ["circuit", "pairs", "implications", "prefix hits",
-             "prefix misses", "launch conflicts", "trail high-water"],
+             "prefix misses", "launch conflicts", "trail high-water",
+             "SAT solves"],
             rows,
             ["launch prefixes shared across same-source pairs; hits are "
-             "capture cases that reused an already-propagated launch"],
+             "capture cases that reused an already-propagated launch; "
+             "SAT solves decide the cases implication left open"],
         )
         sections.append(
             f"## {session_table.title}\n\n{_markdown_table(session_table)}"

@@ -17,6 +17,7 @@ from repro.core.detector import DetectorOptions, detect_multi_cycle_pairs
 from repro.core.hazard import check_hazards
 from repro.core.result import DetectionResult, Stage
 from repro.core.sensitization import SensitizationMode
+from repro.core.session import SAT_CONFLICT_LIMIT
 from repro.sat.mc_sat import sat_detect_multi_cycle_pairs
 
 
@@ -143,7 +144,7 @@ def run_table2(
     options: DetectorOptions | None = None,
     detections: Sequence[DetectionResult] | None = None,
 ) -> Table:
-    """Totals of pairs identified per stage (Sim / Implication / ATPG)."""
+    """Totals of pairs identified per stage (Sim / Implication / ATPG / SAT)."""
     if detections is None:
         detections = [detect_multi_cycle_pairs(c, options) for c in circuits]
     single = {stage: 0 for stage in Stage}
@@ -163,12 +164,15 @@ def run_table2(
 
     total_single = sum(single.values())
     total_multi = sum(multi.values())
-    # The paper's three columns, plus one per extra pipeline stage (the
-    # "decision" column only carries counts for non-implication engines).
+    # The paper's three columns, plus one per extra pipeline stage: the
+    # SAT tier that decides what implication (and the ATPG search, when
+    # it has a budget) left open, and the "decision" column that only
+    # carries counts for non-implication engines.
     labels = {
         Stage.SIMULATION: "Sim.",
         Stage.IMPLICATION: "Implication",
         Stage.ATPG: "ATPG",
+        Stage.SAT: "SAT",
         Stage.DECISION: "Decision",
     }
     headers = [""] + [labels.get(s, s.value) for s in Stage]
@@ -177,7 +181,10 @@ def run_table2(
         ["multi cycle"] + [percent(multi[s], total_multi) for s in Stage],
         ["CPU(s)"] + [cpu[s] for s in Stage],
     ]
-    notes = [f"undecided pairs (backtrack limit): {undecided}"] if undecided else []
+    notes = [
+        f"undecided pairs (the SAT tier's {SAT_CONFLICT_LIMIT:,}-conflict "
+        f"budget ran out): {undecided}"
+    ] if undecided else []
     return Table("Table 2: results of each analysis step", headers, rows, notes)
 
 

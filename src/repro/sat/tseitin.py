@@ -1,14 +1,22 @@
 """Tseitin encoding of combinational circuits into CNF.
 
-Every circuit node gets one SAT variable; each gate contributes the clauses
-of its input/output consistency constraint.  Used by the SAT-based baseline
-(:mod:`repro.sat.mc_sat`) to encode the 2-time-frame expansion once and
-query it per FF pair under assumptions.
+Every encoded circuit node gets one SAT variable; each gate contributes the
+clauses of its input/output consistency constraint.  Two entry points:
+
+* :func:`encode_circuit` encodes every node at once.  The SAT-based
+  baseline (:mod:`repro.sat.mc_sat`) uses it to encode the 2-time-frame
+  expansion once and query it per FF pair under assumptions.
+* :class:`ConeEncoder` encodes lazily: only the fanin cones of the root
+  nodes asked for, grown as new roots arrive.  The decision session's SAT
+  tier (:mod:`repro.core.session`) keeps one per session and asks, per
+  case, for the cones of ``FF_i@t``, ``FF_i@t+1``, ``FF_j@t+1`` and
+  ``FF_j@t+2`` — a few hundred nodes of an expansion of thousands.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.circuit.gates import GateType
 from repro.circuit.netlist import Circuit
@@ -69,6 +77,43 @@ def _encode_mux(solver: CdclSolver, out: int, select: int, d0: int, d1: int) -> 
     solver.add_clause([-select, out, -d1])
 
 
+def _encode_gate(
+    solver: CdclSolver, gate_type: GateType, out: int, ins: Sequence[int]
+) -> None:
+    """Clauses of ``out = gate_type(ins)``; INPUT nodes get none."""
+    if gate_type == GateType.INPUT:
+        return
+    if gate_type == GateType.DFF:
+        raise ValueError("Tseitin encoding expects a combinational circuit")
+    if gate_type == GateType.CONST0:
+        solver.add_clause([-out])
+    elif gate_type == GateType.CONST1:
+        solver.add_clause([out])
+    elif gate_type in (GateType.BUF, GateType.OUTPUT):
+        _encode_eq(solver, out, ins[0])
+    elif gate_type == GateType.NOT:
+        _encode_eq(solver, out, ins[0], invert=True)
+    elif gate_type == GateType.AND:
+        _encode_and(solver, out, list(ins), invert=False)
+    elif gate_type == GateType.NAND:
+        _encode_and(solver, out, list(ins), invert=True)
+    elif gate_type == GateType.OR:
+        _encode_or(solver, out, list(ins), invert=False)
+    elif gate_type == GateType.NOR:
+        _encode_or(solver, out, list(ins), invert=True)
+    elif gate_type in (GateType.XOR, GateType.XNOR):
+        acc = ins[0]
+        for operand in ins[1:]:
+            fresh = solver.new_var()
+            _encode_xor2(solver, fresh, acc, operand)
+            acc = fresh
+        _encode_eq(solver, out, acc, invert=gate_type == GateType.XNOR)
+    elif gate_type == GateType.MUX:
+        _encode_mux(solver, out, ins[0], ins[1], ins[2])
+    else:  # pragma: no cover - defensive
+        raise ValueError(f"unhandled gate type {gate_type}")
+
+
 def encode_circuit(circuit: Circuit, solver: CdclSolver | None = None) -> CircuitEncoding:
     """Encode every node of a combinational circuit into ``solver``.
 
@@ -81,39 +126,79 @@ def encode_circuit(circuit: Circuit, solver: CdclSolver | None = None) -> Circui
         var_of[node] = solver.new_var()
 
     for node in range(circuit.num_nodes):
-        gate_type = circuit.types[node]
-        out = var_of[node]
-        ins = [var_of[f] for f in circuit.fanins[node]]
-        if gate_type == GateType.INPUT:
-            continue
-        if gate_type == GateType.DFF:
-            raise ValueError("encode_circuit expects a combinational circuit")
-        if gate_type == GateType.CONST0:
-            solver.add_clause([-out])
-        elif gate_type == GateType.CONST1:
-            solver.add_clause([out])
-        elif gate_type in (GateType.BUF, GateType.OUTPUT):
-            _encode_eq(solver, out, ins[0])
-        elif gate_type == GateType.NOT:
-            _encode_eq(solver, out, ins[0], invert=True)
-        elif gate_type == GateType.AND:
-            _encode_and(solver, out, ins, invert=False)
-        elif gate_type == GateType.NAND:
-            _encode_and(solver, out, ins, invert=True)
-        elif gate_type == GateType.OR:
-            _encode_or(solver, out, ins, invert=False)
-        elif gate_type == GateType.NOR:
-            _encode_or(solver, out, ins, invert=True)
-        elif gate_type in (GateType.XOR, GateType.XNOR):
-            acc = ins[0]
-            for operand in ins[1:]:
-                fresh = solver.new_var()
-                _encode_xor2(solver, fresh, acc, operand)
-                acc = fresh
-            _encode_eq(solver, out, acc, invert=gate_type == GateType.XNOR)
-        elif gate_type == GateType.MUX:
-            _encode_mux(solver, out, ins[0], ins[1], ins[2])
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unhandled gate type {gate_type}")
+        _encode_gate(
+            solver,
+            circuit.types[node],
+            var_of[node],
+            [var_of[f] for f in circuit.fanins[node]],
+        )
 
     return CircuitEncoding(circuit, solver, var_of)
+
+
+class ConeEncoder:
+    """Lazy Tseitin encoding of the fanin cones of requested root nodes.
+
+    :meth:`lit` encodes the cone of its node on first use, so one solver
+    grows with the roots asked for and never holds a gate outside them.
+    Adding a gate's clauses only defines a fresh variable, so clauses the
+    solver learned on earlier queries stay valid as the cone grows.
+
+    Nodes are encoded depth-first from each root, fanins in order, and a
+    node's variable is allocated when its last fanin is done.  Two
+    encoders asked for the same roots in the same order therefore build
+    the same CNF, variable for variable, and a fresh encoder's answers
+    depend only on its roots — never on which node ids the circuit gave
+    the gates.
+    """
+
+    def __init__(self, circuit: Circuit, solver: CdclSolver | None = None) -> None:
+        self.circuit = circuit
+        self.solver = solver or CdclSolver()
+        #: SAT variable per encoded node id.
+        self.var_of: dict[int, int] = {}
+        #: encoded INPUT nodes, in encoding order.
+        self.inputs: list[int] = []
+
+    def encode(self, roots: Iterable[int]) -> None:
+        """Encode the fanin cones of ``roots`` (already encoded nodes are kept)."""
+        var_of = self.var_of
+        types = self.circuit.types
+        fanins = self.circuit.fanins
+        solver = self.solver
+        for root in roots:
+            stack = [root]
+            while stack:
+                node = stack[-1]
+                if node in var_of:
+                    stack.pop()
+                    continue
+                pending = [f for f in fanins[node] if f not in var_of]
+                if pending:
+                    stack.extend(reversed(pending))
+                    continue
+                stack.pop()
+                out = solver.new_var()
+                var_of[node] = out
+                gate_type = types[node]
+                if gate_type == GateType.INPUT:
+                    self.inputs.append(node)
+                _encode_gate(
+                    solver, gate_type, out, [var_of[f] for f in fanins[node]]
+                )
+
+    def lit(self, node: int, value: int) -> int:
+        """Literal asserting ``node == value``, encoding its cone if needed."""
+        var = self.var_of.get(node)
+        if var is None:
+            self.encode((node,))
+            var = self.var_of[node]
+        return var if value else -var
+
+    def input_values(self) -> dict[int, int]:
+        """Encoded INPUT nodes' values in the solver's last SAT model."""
+        model_value = self.solver.model_value
+        return {
+            node: int(model_value(self.var_of[node]) or 0)
+            for node in self.inputs
+        }

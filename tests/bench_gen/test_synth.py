@@ -88,15 +88,23 @@ def test_single_bank_circuit():
 
 
 def test_hard_enables_exercises_atpg():
-    """Partial-decode banks force the ATPG stage to prove some MC pairs."""
+    """Partial-decode banks force a search stage to prove some MC pairs:
+    the ATPG search at the paper's budget, the SAT tier at the default
+    zero budget."""
+    from repro.core.detector import DetectorOptions
     from repro.core.result import Stage
 
     spec = CircuitSpec("hard", num_inputs=4, counter_width=4, num_banks=5,
                        bank_width=4, logic_per_bank=12, spacing=2,
                        plain_registers=3, shift_tail=3, hard_enables=True,
                        seed=9)
-    result = detect_multi_cycle_pairs(generate(spec))
-    assert result.stats[Stage.ATPG].multi_cycle > 0
+    circuit = generate(spec)
+    paper = detect_multi_cycle_pairs(circuit, DetectorOptions(backtrack_limit=50))
+    assert paper.stats[Stage.ATPG].multi_cycle > 0
+    assert not paper.undecided_pairs
+    result = detect_multi_cycle_pairs(circuit)
+    assert result.stats[Stage.SAT].multi_cycle > 0
+    assert result.stats[Stage.ATPG].multi_cycle == 0
     assert not result.undecided_pairs
 
 

@@ -41,6 +41,11 @@ def oracle_results(circuit, pairs, search_engine="dalg"):
     return out
 
 
+#: the paper's ladder, which the fresh-engine oracle models: scalar
+#: implication, then a 50-backtrack ATPG search.
+PAPER = {"backtrack_limit": 50, "packed": "off"}
+
+
 def session_results(circuit, pairs, **kwargs):
     expansion = expand_cached(circuit, frames=3)
     session = DecisionSession(expansion, **kwargs)
@@ -63,7 +68,7 @@ def test_session_matches_fresh_engine_oracle(seed, order_seed):
     if not pairs:
         return
     expected = oracle_results(circuit, pairs)
-    got, _ = session_results(circuit, pairs)
+    got, _ = session_results(circuit, pairs, **PAPER)
     assert got == expected
 
 
@@ -75,7 +80,7 @@ def test_session_podem_matches_oracle(seed):
     if not pairs:
         return
     expected = oracle_results(circuit, pairs, search_engine="podem")
-    got, _ = session_results(circuit, pairs, search_engine="podem")
+    got, _ = session_results(circuit, pairs, search_engine="podem", **PAPER)
     assert got == expected
 
 

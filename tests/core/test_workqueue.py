@@ -154,3 +154,69 @@ def test_pool_worker_summary_covers_all_units():
     assert [row["worker"] for row in summary] == [0, 1]
     assert sum(row["units"] for row in summary) == len(units)
     assert sum(row["pairs"] for row in summary) == len(pairs)
+
+
+# A script whose registered decider kills its worker process inside the
+# first unit that reaches the pool.  Run in a subprocess with a timeout:
+# a pool that waits on the result queue alone blocks forever instead.
+_DYING_WORKER_SCRIPT = """
+import os
+import sys
+
+from repro.core.deciders import register_decider
+from repro.core.detector import DetectorOptions, MultiCycleDetector
+from repro.circuit.library import fig1_circuit
+from repro.core.result import Classification, PairResult, Stage
+
+
+@register_decider("dies-in-worker")
+class DiesInWorker:
+    frames = 2
+
+    def __init__(self, name):
+        self.name = name
+
+    def prepare(self, ctx):
+        pass
+
+    def decide(self, pair):
+        if os.getpid() != int(os.environ["DYING_WORKER_PARENT"]):
+            os._exit(3)
+        return PairResult(pair, Classification.SINGLE_CYCLE, Stage.DECISION)
+
+
+if __name__ == "__main__":
+    os.environ["DYING_WORKER_PARENT"] = str(os.getpid())
+    circuit = fig1_circuit()
+    options = DetectorOptions(
+        search_engine="dies-in-worker", use_random_sim=False,
+        workers=2, parallel_threshold=2,
+    )
+    try:
+        MultiCycleDetector(circuit, options).run()
+    except RuntimeError as error:
+        print(error)
+        sys.exit(7)
+"""
+
+
+def test_dead_worker_raises_instead_of_hanging(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    script = tmp_path / "dying_worker.py"
+    script.write_text(_DYING_WORKER_SCRIPT)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 7, proc.stderr
+    assert "decision worker" in proc.stdout
+    assert "died (exit code 3)" in proc.stdout
