@@ -37,10 +37,11 @@ implication → ATPG search (``backtrack_limit`` backtracks; a zero
 budget skips it) → SAT.  The SAT tier is one assumption solve on a
 :class:`~repro.sat.tseitin.ConeEncoder` the session grows lazily: only
 the fanin cones of ``FF_i@t``, ``FF_i@t+1``, ``FF_j@t+1`` and
-``FF_j@t+2`` are encoded, under a :data:`SAT_CONFLICT_LIMIT` budget.
-UNSAT proves the case stable (or contradicted, when implication had
-already forced ``FF_j(t+2) = ¬b``); SAT is a violation with a model
-witness; running out of conflicts leaves the pair UNDECIDED.
+``FF_j@t+2`` are encoded, and the solve decides only the case's own
+cone variables, under a :data:`SAT_CONFLICT_LIMIT` budget.  UNSAT
+proves the case stable (or contradicted, when implication had already
+forced ``FF_j(t+2) = ¬b``); SAT is a violation with a model witness;
+running out of conflicts leaves the pair UNDECIDED.
 
 Records never depend on solve history.  The shared solver carries
 clauses learned on earlier cases, which changes how fast it answers and
@@ -653,6 +654,7 @@ class DecisionSession:
         status = cone.solver.solve(
             [cone.lit(n, v) for n, v in zip(nodes, values)],
             conflict_limit=SAT_CONFLICT_LIMIT,
+            scope=cone.cone_vars(nodes),
         )
         if status is not SolveStatus.UNSAT:
             cone = ConeEncoder(self.expansion.comb)

@@ -10,7 +10,9 @@ complete conflict-driven clause-learning solver:
 * VSIDS-style variable activities with exponential decay,
 * phase saving and Luby-sequence restarts,
 * incremental solving under assumptions (used to share one CNF of the
-  2-frame expansion across all FF pairs).
+  2-frame expansion across all FF pairs),
+* scoped solves that decide only a given set of variables and stop once
+  it is assigned (the decision session's cone queries).
 
 Literals follow the DIMACS convention: variable ``v >= 1``, literal ``+v``
 or ``-v``.
@@ -426,6 +428,25 @@ class CdclSolver:
         # Heap exhausted: by the heap invariant every variable is assigned.
         return -1
 
+    def _decide_in(self, scope: list[int]) -> int:
+        """Like :meth:`_decide`, over the internal variables ``scope`` only.
+
+        A linear scan for the most active unassigned variable (the first
+        in ``scope`` order among equals); the order heap is not touched,
+        so its invariant holds for later unscoped solves.
+        """
+        values = self.values
+        activity = self.activity
+        best = -1
+        best_activity = -1.0
+        for var in scope:
+            if values[var] == _UNASSIGNED and activity[var] > best_activity:
+                best = var
+                best_activity = activity[var]
+        if best < 0:
+            return -1
+        return 2 * best + (1 if self.phase[best] == 0 else 0)
+
     # ------------------------------------------------------------------
     # Main loop.
     # ------------------------------------------------------------------
@@ -433,8 +454,19 @@ class CdclSolver:
         self,
         assumptions: list[int] | None = None,
         conflict_limit: int | None = None,
+        scope: list[int] | None = None,
     ) -> SolveStatus:
-        """Decide satisfiability under ``assumptions`` (DIMACS literals)."""
+        """Decide satisfiability under ``assumptions`` (DIMACS literals).
+
+        ``scope`` (DIMACS variables) restricts decisions to those
+        variables and answers SAT as soon as they are all assigned with
+        no conflict, leaving the rest unassigned.  That is sound only
+        when every such assignment extends to a model — e.g. when the
+        scope is a fanin-closed set of Tseitin-encoded circuit nodes
+        holding every assumption (:meth:`repro.sat.tseitin.ConeEncoder.
+        cone_vars`): the nodes outside it then take their simulated
+        values.  The model is the scope's values only.
+        """
         if self._unsat:
             return SolveStatus.UNSAT
         self._cancel_until(0)
@@ -448,6 +480,7 @@ class CdclSolver:
             self._ensure_vars(max(abs(ext) for ext in assumptions))
             assumption_lits = [2 * abs(ext) - 2 + (ext < 0) for ext in assumptions]
         num_assumptions = len(assumption_lits)
+        scope_vars = None if scope is None else [var - 1 for var in scope]
         trail = self.trail
         trail_lim = self.trail_lim
         values = self.values
@@ -524,7 +557,10 @@ class CdclSolver:
                     trail.append(lit)
                 continue
 
-            decision = self._decide()
+            if scope_vars is None:
+                decision = self._decide()
+            else:
+                decision = self._decide_in(scope_vars)
             if decision == -1:
                 return SolveStatus.SAT
             self.stats.decisions += 1

@@ -187,6 +187,27 @@ class ConeEncoder:
                     solver, gate_type, out, [var_of[f] for f in fanins[node]]
                 )
 
+    def cone_vars(self, roots: Sequence[int]) -> list[int]:
+        """Sorted variables of the fanin cones of ``roots`` (encoding them).
+
+        The scope :meth:`CdclSolver.solve` may restrict a query on these
+        roots to: every assignment of these variables that propagates
+        without conflict extends to a model, because every node outside
+        them is free to take the value its fanins give it.
+        """
+        self.encode(roots)
+        var_of = self.var_of
+        fanins = self.circuit.fanins
+        seen: set[int] = set()
+        stack = list(roots)
+        while stack:
+            node = stack.pop()
+            if node in seen:
+                continue
+            seen.add(node)
+            stack.extend(fanins[node])
+        return sorted(var_of[node] for node in seen)
+
     def lit(self, node: int, value: int) -> int:
         """Literal asserting ``node == value``, encoding its cone if needed."""
         var = self.var_of.get(node)

@@ -59,6 +59,28 @@ def test_cone_encoder_agrees_with_full_encoding(seed, value):
         assert len(cone.var_of) <= comb.num_nodes
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+       values=st.lists(st.integers(0, 1), min_size=4, max_size=4))
+def test_scoped_solve_agrees_with_unscoped(seed, picks, values):
+    """Deciding only the roots' cones, on a solver holding other cones
+    too, answers every query the way a full search does."""
+    circuit = random_sequential_circuit(seed)
+    comb = expand_cached(circuit, frames=2).comb
+    shared = ConeEncoder(comb)
+    shared.encode(range(comb.num_nodes - 1, -1, -3))  # unrelated cones too
+    full = encode_circuit(comb)
+    roots = [pick % comb.num_nodes for pick in picks]
+    scoped = shared.solver.solve(
+        [shared.lit(n, v) for n, v in zip(roots, values)],
+        scope=shared.cone_vars(roots),
+    )
+    expected = full.solver.solve(
+        [full.lit(n, v) for n, v in zip(roots, values)]
+    )
+    assert scoped is expected
+
+
 def test_cone_encoder_is_deterministic_in_its_roots():
     comb = expand_cached(BOTH_ANSWERS, frames=2).comb
     roots = [comb.num_nodes - 1, comb.num_nodes // 2, 3]

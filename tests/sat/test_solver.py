@@ -52,6 +52,26 @@ def test_solver_matches_brute_force(seed):
             ), "model does not satisfy a clause"
 
 
+@given(st.integers(min_value=0, max_value=10_000_000))
+def test_scope_over_every_variable_is_a_full_solve(seed):
+    """With every variable in scope the scoped search is a full search,
+    and it leaves the solver fit for unscoped solves afterwards."""
+    num_vars, clauses = _random_cnf(seed)
+    solver = CdclSolver()
+    if not all(solver.add_clause(clause) for clause in clauses):
+        return
+    expected = _brute_sat(num_vars, clauses)
+    everything = list(range(1, solver.num_vars + 1))
+    assert (solver.solve(scope=everything) is SolveStatus.SAT) == expected
+    if expected:
+        model = solver.model()
+        for clause in clauses:
+            assert any(
+                model.get(abs(l), 0) == (1 if l > 0 else 0) for l in clause
+            )
+    assert (solver.solve() is SolveStatus.SAT) == expected
+
+
 def test_empty_clause_is_unsat():
     solver = CdclSolver()
     assert not solver.add_clause([])
