@@ -152,20 +152,22 @@ class CdclSolver:
             return False
         self._cancel_until(0)
         if ext_clause:
-            self._ensure_vars(max(abs(l) for l in ext_clause))
+            self._ensure_vars(max(map(abs, ext_clause)))
+        values = self.values
         seen: set[int] = set()
         clause: list[int] = []
         for ext in ext_clause:
-            lit = self._lit(ext)
+            lit = 2 * ext - 2 if ext > 0 else -2 * ext - 1  # self._lit(ext)
             if lit ^ 1 in seen:
                 return True  # tautology
             if lit in seen:
                 continue
             seen.add(lit)
-            value = self._lit_value(lit)
-            if value == 1 and self.levels[lit // 2] == 0:
-                return True  # already satisfied at root
-            if value == 0 and self.levels[lit // 2] == 0:
+            value = values[lit >> 1]
+            if value != _UNASSIGNED:
+                # Back at level 0, every assigned variable is a root one.
+                if value ^ (lit & 1):
+                    return True  # already satisfied at root
                 continue  # falsified at root: drop literal
             clause.append(lit)
         if not clause:
