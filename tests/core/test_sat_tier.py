@@ -81,6 +81,35 @@ def test_scoped_solve_agrees_with_unscoped(seed, picks, values):
     assert scoped is expected
 
 
+def test_scoped_case_queries_agree_with_a_full_encoding():
+    """Every MC-condition case of a mid-size circuit, asked in turn of
+    one growing shared solver with its cone as the scope."""
+    expansion = expand(BOTH_ANSWERS, frames=2)
+    shared = ConeEncoder(expansion.comb)
+    full = encode_circuit(expansion.comb)
+    answers = set()
+    for pair in connected_ff_pairs(BOTH_ANSWERS):
+        source = expansion.ff_index(pair.source)
+        sink = expansion.ff_index(pair.sink)
+        nodes = (
+            expansion.ff_at[0][source], expansion.ff_at[1][source],
+            expansion.ff_at[1][sink], expansion.ff_at[2][sink],
+        )
+        for a in (0, 1):
+            for b in (0, 1):
+                values = (a, 1 - a, b, 1 - b)
+                scoped = shared.solver.solve(
+                    [shared.lit(n, v) for n, v in zip(nodes, values)],
+                    scope=shared.cone_vars(nodes),
+                )
+                expected = full.solver.solve(
+                    [full.lit(n, v) for n, v in zip(nodes, values)]
+                )
+                assert scoped is expected, (pair, a, b)
+                answers.add(expected)
+    assert answers == {SolveStatus.SAT, SolveStatus.UNSAT}
+
+
 def test_cone_encoder_is_deterministic_in_its_roots():
     comb = expand_cached(BOTH_ANSWERS, frames=2).comb
     roots = [comb.num_nodes - 1, comb.num_nodes // 2, 3]
