@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench_gen.suite import suite
+from repro.circuit.gates import GateType
+from repro.circuit.netlist import Circuit, validate
 from repro.circuit.timeframe import expand, expand_cached
-from repro.circuit.topology import connected_ff_pairs
+from repro.circuit.topology import FFPair, connected_ff_pairs
 from repro.core.detector import DetectorOptions, MultiCycleDetector
 from repro.core.incremental import incremental_detect, result_bundle
 from repro.core.result import CaseOutcome, Classification, Stage
@@ -171,6 +173,45 @@ def test_cross_check_reports_no_disagreement(name):
     ).run()
     assert result.disagreements == []
     assert not result.undecided_pairs
+
+
+def _launch_that_never_toggles():
+    """``ffi``'s next state is ``ffi XOR (y XOR BUF(y))``: it can never
+    toggle, but implication cannot see that without a case split on
+    ``y``.  ``ffj`` always toggles, so implication forces
+    ``FF_j(t+2) = ¬b`` in every case of the pair ``(ffi, ffj)``."""
+    circuit = Circuit("never_toggles")
+    y = circuit.add_node(GateType.INPUT, (), "y")
+    one = circuit.add_node(GateType.CONST1, (), "one")
+    ffi = circuit.add_node(GateType.DFF, (0,), "ffi")
+    ffj = circuit.add_node(GateType.DFF, (0,), "ffj")
+    ybuf = circuit.add_node(GateType.BUF, (y,), "ybuf")
+    never = circuit.add_node(GateType.XOR, (y, ybuf), "never")
+    circuit.set_fanins(
+        ffi, (circuit.add_node(GateType.XOR, (ffi, never), "di"),)
+    )
+    keep = circuit.add_node(GateType.OR, (ffi, one), "keep")
+    dj = circuit.add_node(GateType.NAND, (ffj, keep), "dj")
+    circuit.set_fanins(ffj, (dj,))
+    circuit.add_node(GateType.OUTPUT, (dj,), "po")
+    validate(circuit)
+    return circuit, FFPair(ffi, ffj)
+
+
+@pytest.mark.parametrize("packed", ["off", "on"])
+def test_forced_but_unjustifiable_cases_are_contradictions(packed):
+    """UNSAT after implication forced ``FF_j(t+2) = ¬b`` is a
+    contradiction (the premise is impossible), not a proved-stable case
+    — from the packed closure's forced lanes as from the scalar engine."""
+    circuit, pair = _launch_that_never_toggles()
+    assert (pair.source, pair.sink) in brute_force_mc_pairs(circuit)
+    session = DecisionSession(expand(circuit, frames=2), packed=packed)
+    result = session.decide(pair)
+    assert result.classification is Classification.MULTI_CYCLE
+    assert result.stage is Stage.SAT
+    assert [case.outcome for case in result.cases] == (
+        [CaseOutcome.CONTRADICTION] * 4
+    )
 
 
 # ----------------------------------------------------------------------
