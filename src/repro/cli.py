@@ -307,7 +307,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if packed:
         print(f"packed implication: {packed['lanes']} lanes packed, "
               f"{packed['resolved']} resolved, "
-              f"{packed['fallbacks']} scalar fallbacks, "
+              f"{packed['fallbacks']} left open, "
               f"{packed['closures']} closures / {packed['visits']} gate "
               f"visits in {packed['us'] / 1000:.1f}ms")
     for disagreement in result.disagreements:

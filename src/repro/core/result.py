@@ -163,7 +163,7 @@ class DetectionResult:
     #: set.  Observability only — excluded from :meth:`pair_records`.
     implication_db: dict[str, float | int] | None = None
     #: packed-implication pre-pass totals (lanes packed, lanes resolved,
-    #: scalar fallbacks, closures/visits/microseconds); ``None`` when
+    #: lanes left open, closures/visits/microseconds); ``None`` when
     #: lane packing was disabled.  Observability only — the packed path
     #: never changes classifications or :meth:`pair_records`.
     packed_implication: dict[str, int] | None = None

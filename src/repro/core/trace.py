@@ -41,7 +41,7 @@ Event types emitted by the detection fold (:mod:`repro.core.pipeline`):
 ``packed_implication``
     One per run with lane packing enabled (``--packed-implication``):
     the resolved mode plus the packed pre-pass totals — lanes packed,
-    lanes resolved without the scalar engine, scalar fallbacks, and the
+    lanes resolved without the scalar engine, lanes left open, and the
     closure/visit/microsecond counters of the packed engine.
 
 The Condition-2 extension (:mod:`repro.core.extended`) brackets its own

@@ -163,12 +163,13 @@ def generate_report(
     if rows:
         packed_table = Table(
             "Packed implication (64 cases per word)",
-            ["circuit", "lanes", "resolved", "scalar fallbacks",
+            ["circuit", "lanes", "resolved", "left open",
              "closures", "gate visits"],
             rows,
             ["every (pair, a, b) decision case is one lane of a shared "
              "bit-parallel closure; resolved lanes never touch the "
-             "scalar engine, fallback lanes needed a backtrack search"],
+             "scalar engine; open lanes go to the SAT tier (or to the "
+             "ATPG search at a non-zero backtrack budget)"],
         )
         sections.append(
             f"## {packed_table.title}\n\n{_markdown_table(packed_table)}"
