@@ -435,10 +435,10 @@ class DecisionSession:
         """
         engine = self.engine
         clock = self.clock
-        nodes = [self._case_nodes(pairs[start + i]) for i in range(end - start)]
+        count = end - start
+        nodes = [self._case_nodes(pairs[start + i]) for i in range(count)]
         ffi_t, ffi_t1 = nodes[0][0], nodes[0][1]
 
-        count = end - start
         cases: list[list[CaseResult]] = [[] for _ in range(count)]
         verdict: list[tuple[Classification, Stage] | None] = [None] * count
         used_search = [False] * count
