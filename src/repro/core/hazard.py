@@ -38,6 +38,7 @@ from repro.core.sensitization import (
     PathSearchOutcome,
     SensitizationMode,
     find_sensitizable_path,
+    source_cone,
 )
 
 
@@ -80,8 +81,9 @@ class SourcePremises:
     ``a`` keeps it assumed until the launch FF changes, so a pair only
     adds its sink half ``FF_j(t+1) = FF_j(t+2) = b``; pairs fed grouped by
     launch FF assume each source premise at most once per direction.  The frame-2
-    fanin cone of every target is cached too, and checkers built on one
-    holder (the exact checker's two bounds) share all of it.
+    fanin cone of every target is cached too, as is the X-cone of the last
+    launch FF, and checkers built on one holder (the exact checker's two
+    bounds) share all of it.
     """
 
     def __init__(self, expansion: TimeFrameExpansion) -> None:
@@ -94,6 +96,7 @@ class SourcePremises:
         self._held: list[int | None] = [None, None]
         self._consistent = [False, False]
         self._cones: dict[int, frozenset[int]] = {}
+        self._x_cone: tuple[int, frozenset[int]] | None = None
         #: how often a launch FF's source premise was assumed
         self.assumed = 0
         # The hazard path must lie inside the second frame's combinational
@@ -138,6 +141,13 @@ class SourcePremises:
                         stack.extend(fanins[node])
             cone = self._cones[target] = frozenset(seen)
         return cone
+
+    def x_cone(self, source_node: int) -> frozenset[int]:
+        """``source_node`` and the frame-2 nodes its X can reach."""
+        if self._x_cone is None or self._x_cone[0] != source_node:
+            cone = source_cone(self.engines[0], source_node, self.frame2_nodes)
+            self._x_cone = (source_node, cone)
+        return self._x_cone[1]
 
 
 class HazardChecker:
@@ -196,6 +206,11 @@ class HazardChecker:
                 backtrack_limit=self.backtrack_limit,
                 max_attempts=self.max_attempts,
                 reach=premises.cone(ffj_t2),
+                x_cone=(
+                    premises.x_cone(ffi_t1)
+                    if self.mode is SensitizationMode.STATIC_CO_SENSITIZATION
+                    else None
+                ),
             )
             engine.backtrack(mark)
             self.searches += 1

@@ -31,6 +31,13 @@ the corridor.  Confining the walk to the corridor therefore keeps the
 walk order and the first found path; it only skips dead branches, so the
 ``max_attempts`` budget counts attempts inside the corridor.  An empty
 corridor ends the search before any attempt.
+
+Co-sensitization through a native MUX also reads the *X-cone*: the
+source and every allowed node forward-reachable from it, i.e. every node
+that may carry the source's X.  ``MUX(X, X, d)`` is X whatever values
+the select and ``d`` settle at, so when the select lies in the X-cone a
+data input passes the X with no constraint on the select (see
+``docs/hazards.md`` for the argument that the bound stays safe).
 """
 
 from __future__ import annotations
@@ -85,16 +92,36 @@ class PathSearchResult:
     corridor_empty: bool = False
 
 
+def source_cone(
+    engine: ImplicationEngine,
+    source: int,
+    allowed: frozenset[int] | set[int],
+) -> frozenset[int]:
+    """``source`` and the ``allowed`` nodes forward-reachable from it."""
+    fanouts = engine.fanouts
+    seen = {source}
+    stack = [source]
+    while stack:
+        for gate in fanouts[stack.pop()]:
+            if gate in allowed and gate not in seen:
+                seen.add(gate)
+                stack.append(gate)
+    return frozenset(seen)
+
+
 def _extension_options(
     engine: ImplicationEngine,
     gate: int,
     via: int,
     mode: SensitizationMode,
+    x_cone: frozenset[int] | set[int] = frozenset(),
 ) -> list[list[tuple[int, int]]] | None:
     """Ways to extend a path into ``gate`` through fanin ``via``.
 
     Each option is a list of (node, value) assumptions; ``None`` means the
     gate imposes no constraint (buffers, inverters, parity gates).
+    ``x_cone`` holds the nodes that may carry the source's X; only the
+    co-sensitization MUX rule reads it.
     """
     gate_type = engine.types[gate]
     fanins = engine.fanins[gate]
@@ -115,6 +142,14 @@ def _extension_options(
 
     if gate_type == GateType.MUX:
         select, d0, d1 = fanins
+        if (
+            mode is SensitizationMode.STATIC_CO_SENSITIZATION
+            and via in (d0, d1)
+            and select in x_cone
+        ):
+            # MUX(X, X, d) is X: an X select lets either data input's X
+            # through, whatever value the select settles at.
+            return None
         options: list[list[tuple[int, int]]] = []
         if via == select:
             # The select only matters when the data inputs differ.
@@ -149,6 +184,7 @@ def open_corridor(
     allowed: frozenset[int] | set[int],
     mode: SensitizationMode,
     reach: frozenset[int] | set[int],
+    x_cone: frozenset[int] | set[int] = frozenset(),
 ) -> set[int]:
     """Nodes on some ``source -> target`` walk of open edges.
 
@@ -167,7 +203,7 @@ def open_corridor(
             if gate not in reach or gate not in allowed:
                 continue
             if not _edge_open(
-                values, _extension_options(engine, gate, node, mode)
+                values, _extension_options(engine, gate, node, mode, x_cone)
             ):
                 continue
             if gate in preds:
@@ -197,6 +233,7 @@ def find_sensitizable_path(
     backtrack_limit: int = 50,
     max_attempts: int = 5000,
     reach: frozenset[int] | set[int] | None = None,
+    x_cone: frozenset[int] | set[int] | None = None,
 ) -> PathSearchResult:
     """Search for a statically (co-)sensitizable path ``source -> target``.
 
@@ -207,13 +244,21 @@ def find_sensitizable_path(
     vector.  ``reach`` may pass a cached fanin cone of ``target``; it
     needs only ``target``, the cone's ``allowed`` nodes and their fanins.
     The walk is confined to the open corridor inside ``reach``, and
-    ``max_attempts`` counts the gate attempts made inside it.
+    ``max_attempts`` counts the gate attempts made inside it.  ``x_cone``
+    may pass a cached :func:`source_cone` of ``source`` over ``allowed``;
+    only co-sensitization reads it.
     """
     if reach is None:
         reach = engine.circuit.transitive_fanin([target])
     if source not in reach:
         return PathSearchResult(PathSearchOutcome.NONE)
-    reach = open_corridor(engine, source, target, allowed, mode, reach)
+    if x_cone is None:
+        x_cone = (
+            source_cone(engine, source, allowed)
+            if mode is SensitizationMode.STATIC_CO_SENSITIZATION
+            else frozenset()
+        )
+    reach = open_corridor(engine, source, target, allowed, mode, reach, x_cone)
     if not reach:
         return PathSearchResult(PathSearchOutcome.NONE, corridor_empty=True)
 
@@ -237,7 +282,7 @@ def find_sensitizable_path(
             if attempts > max_attempts:
                 saw_unknown = True
                 return PathSearchOutcome.NONE
-            options = _extension_options(engine, gate, node, mode)
+            options = _extension_options(engine, gate, node, mode, x_cone)
             if options is None:
                 options = [[]]
             for option in options:

@@ -30,7 +30,7 @@ import json
 import random
 from itertools import product
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.hazard_exact import (
@@ -184,6 +184,14 @@ def _parity_mux_circuit(seed: int) -> Circuit:
 
 @given(seeds)
 @settings(max_examples=25)
+# A MUX whose select reconverges with a data input: MUX(X, X, d) is X
+# although the settled values close every select-constrained option.
+@example(seed=273)
+@example(seed=524)
+@example(seed=1107)
+@example(seed=1238)
+@example(seed=1982)
+@example(seed=27410)
 def test_exact_matches_oracle_on_parity_mux_circuits(seed):
     _assert_matches_oracle(_parity_mux_circuit(seed))
 

@@ -83,6 +83,41 @@ def test_mux_options_by_role():
     assert via_d1 == [[(s, ONE)]]
 
 
+def test_mux_data_input_unconstrained_when_select_may_be_x():
+    def build(b):
+        s, d0, d1 = b.input("s"), b.input("d0"), b.input("d1")
+        b.output("o", b.mux(s, d0, d1, name="g"))
+
+    circuit, engine = _engine_for(build)
+    gate = circuit.id_of("g")
+    s, d0, d1 = (circuit.id_of(n) for n in ("s", "d0", "d1"))
+    cosens = SensitizationMode.STATIC_CO_SENSITIZATION
+    assert _extension_options(engine, gate, d0, cosens) == [[(s, ZERO)]]
+    for via in (d0, d1):
+        assert _extension_options(engine, gate, via, cosens, {s}) is None
+    # The select keeps its rule; sensitization ignores the X-cone.
+    assert len(_extension_options(engine, gate, s, cosens, {s, d0})) == 2
+    assert _extension_options(
+        engine, gate, d0, SensitizationMode.STATIC_SENSITIZATION, {s}
+    ) == [[(s, ZERO)]]
+
+
+def test_cosensitized_path_through_reconvergent_mux():
+    """MUX(a, a, d) is X when a is X, even with a = d = 1 settled."""
+    def build(b):
+        a, d = b.input("a"), b.input("d")
+        b.output("o", b.mux(a, a, d, name="g"))
+
+    circuit, engine = _engine_for(build)
+    a, d, gate = (circuit.id_of(n) for n in ("a", "d", "g"))
+    assert engine.assume_all([(a, ONE), (d, ONE)])
+    result = find_sensitizable_path(
+        engine, a, gate, {gate}, SensitizationMode.STATIC_CO_SENSITIZATION
+    )
+    assert result.outcome is PathSearchOutcome.FOUND
+    assert result.path == [a, gate]
+
+
 def test_search_finds_multi_gate_path():
     def build(b):
         a, k1, k2 = b.input("a"), b.input("k1"), b.input("k2")

@@ -27,6 +27,7 @@ from repro.core.sensitization import (
     PathSearchResult,
     SensitizationMode,
     _extension_options,
+    source_cone,
 )
 
 
@@ -39,12 +40,15 @@ def reference_find_sensitizable_path(
     backtrack_limit=50,
     max_attempts=5000,
     reach=None,
+    x_cone=None,
 ):
     """The path search walking the whole fanin cone of ``target``."""
     if reach is None:
         reach = engine.circuit.transitive_fanin([target])
     if source not in reach:
         return PathSearchResult(PathSearchOutcome.NONE)
+    if x_cone is None:
+        x_cone = source_cone(engine, source, allowed)
 
     outer_mark = engine.checkpoint()
     attempts = 0
@@ -66,7 +70,7 @@ def reference_find_sensitizable_path(
             if attempts > max_attempts:
                 saw_unknown = True
                 return PathSearchOutcome.NONE
-            options = _extension_options(engine, gate, node, mode)
+            options = _extension_options(engine, gate, node, mode, x_cone)
             if options is None:
                 options = [[]]
             for option in options:
