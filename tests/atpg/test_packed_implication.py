@@ -169,35 +169,43 @@ def test_packed_plan_is_cached_per_version():
     assert packed_plan(circuit) is packed_plan(circuit)
 
 
+#: budgets the identity is held at: the SAT tier alone (the default),
+#: a search that aborts and escalates to SAT, and the paper's search.
+BUDGETS = (0, 1, 50)
+
+
 @given(seeds, st.booleans())
 def test_session_records_identical_packed_on_off(seed, share_prefix):
     """The end-to-end contract: ``packed="on"`` and ``"off"`` produce
     byte-identical classifications, stages and case records — launch
     groups smaller than one word, self-loops and constant cones
-    included."""
+    included — at every backtrack budget of the decision ladder."""
     circuit = random_sequential_circuit(seed)
     pairs = connected_ff_pairs(circuit)
     if not pairs:
         return
     expansion = expand_cached(circuit, frames=2)
-    scalar = DecisionSession(
-        expansion, share_prefix=share_prefix, packed="off"
-    )
-    packed = DecisionSession(
-        expansion, share_prefix=share_prefix, packed="on"
-    )
-    reference = scalar.decide_group(pairs)
-    candidate = packed.decide_group(pairs)
-    for (expected, _), (actual, _) in zip(reference, candidate):
-        assert actual.classification == expected.classification
-        assert actual.stage == expected.stage
-        assert actual.cases == expected.cases
-    assert scalar.stats()["pairs"] == packed.stats()["pairs"]
-    stats = packed.stats()
-    assert stats["packed_lanes"] == 4 * len(pairs)
-    assert stats["packed_resolved"] + stats["packed_fallbacks"] == (
-        stats["packed_lanes"]
-    )
+    for budget in BUDGETS:
+        scalar = DecisionSession(
+            expansion, backtrack_limit=budget, share_prefix=share_prefix,
+            packed="off",
+        )
+        packed = DecisionSession(
+            expansion, backtrack_limit=budget, share_prefix=share_prefix,
+            packed="on",
+        )
+        reference = scalar.decide_group(pairs)
+        candidate = packed.decide_group(pairs)
+        for (expected, _), (actual, _) in zip(reference, candidate):
+            assert actual.classification == expected.classification, budget
+            assert actual.stage == expected.stage, budget
+            assert actual.cases == expected.cases, budget
+        assert scalar.stats()["pairs"] == packed.stats()["pairs"]
+        stats = packed.stats()
+        assert stats["packed_lanes"] == 4 * len(pairs)
+        assert stats["packed_resolved"] + stats["packed_fallbacks"] == (
+            stats["packed_lanes"]
+        )
 
 
 @given(seeds)
@@ -209,11 +217,16 @@ def test_session_records_identical_with_learned(seed):
         return
     expansion = expand_cached(circuit, frames=2)
     learned = implication_db(expansion.comb)
-    scalar = DecisionSession(expansion, learned=learned, packed="off")
-    packed = DecisionSession(expansion, learned=learned, packed="on")
-    for (expected, _), (actual, _) in zip(
-        scalar.decide_group(pairs), packed.decide_group(pairs)
-    ):
-        assert actual.classification == expected.classification
-        assert actual.stage == expected.stage
-        assert actual.cases == expected.cases
+    for budget in BUDGETS:
+        scalar = DecisionSession(
+            expansion, backtrack_limit=budget, learned=learned, packed="off"
+        )
+        packed = DecisionSession(
+            expansion, backtrack_limit=budget, learned=learned, packed="on"
+        )
+        for (expected, _), (actual, _) in zip(
+            scalar.decide_group(pairs), packed.decide_group(pairs)
+        ):
+            assert actual.classification == expected.classification, budget
+            assert actual.stage == expected.stage, budget
+            assert actual.cases == expected.cases, budget
