@@ -114,9 +114,11 @@ def _add_detector_args(parser: argparse.ArgumentParser) -> None:
                         choices=available_engines(),
                         help="pair-decision engine (default: dalg, the "
                              "paper's implication+ATPG flow; scoap is dalg "
-                             "with SCOAP-guided decision ordering; the "
-                             "kcycle command always uses the implication "
-                             "engine)")
+                             "with SCOAP-guided decision ordering; dalg, "
+                             "podem and scoap differ only in the backtrack "
+                             "search, so they decide alike at the default "
+                             "--backtrack-limit 0; the kcycle command always "
+                             "uses the implication engine)")
     parser.add_argument("--no-launch-prefix", action="store_true",
                         help="re-derive the full case premise per pair "
                              "instead of sharing launch-assumption "

@@ -100,16 +100,21 @@ def options_fingerprint(
     filter reruns fresh on every incremental pass.  The SAT tier's
     conflict budget is part of the digest, so a bundle written before
     the tier existed (whose budget-exhausted pairs sit UNDECIDED) is
-    re-decided once rather than inherited.  When a
+    re-decided once rather than inherited.  At a zero backtrack budget
+    the search never runs, so the ``dalg``/``podem``/``scoap`` choice
+    cannot reach a record and is left out.  When a
     globally-sensitive feature is on (learned tables, the SAT/BDD
     engines) the circuit's structural hash is mixed in, so any edit
     invalidates every prior record.  The ``scoap`` engine is not one:
     its decision order reads only fanin-cone controllability, which
     the cone hashes already cover.
     """
+    engine = options.search_engine
+    if options.backtrack_limit <= 0 and engine not in _GLOBAL_ENGINES:
+        engine = "no-search"
     parts = [
         f"frames={frames}",
-        f"engine={options.search_engine}",
+        f"engine={engine}",
         f"backtrack={options.backtrack_limit}",
         f"sat_conflicts={SAT_CONFLICT_LIMIT}",
         f"static_learning={options.static_learning}",

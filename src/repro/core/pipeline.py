@@ -122,7 +122,8 @@ class DetectorOptions:
     include_self_loops: bool = True
     #: decision engine, by registry name (``repro.core.deciders``):
     #: "dalg" (paper's choice), "podem", "scoap", "sat", "bdd",
-    #: "cross-check".
+    #: "cross-check".  The first three differ only in their backtrack
+    #: search, so at ``backtrack_limit=0`` they decide alike.
     search_engine: str = "dalg"
     #: share launch-assumption implications across same-source pairs in
     #: the decision session; disabling re-derives the full premise per
@@ -131,9 +132,10 @@ class DetectorOptions:
     #: bit-parallel implication pre-pass in the decision session: "auto"
     #: (enabled above :data:`repro.core.session.PACKED_AUTO_MIN_NODES`
     #: expanded nodes), "on", or "off".  Up to 64 ``(pair, a, b)`` cases
-    #: share one packed closure per uint64 word; cases needing a
-    #: backtrack search fall back to the scalar engine, so verdicts and
-    #: ``pair_records`` are byte-identical in every mode.
+    #: share one packed closure per uint64 word; cases the closure
+    #: leaves open climb the same search/SAT ladder as the scalar
+    #: engine's, so verdicts and ``pair_records`` are byte-identical in
+    #: every mode.
     packed_implication: str = "auto"
     #: worker processes for the decision stage (1 = in-process serial).
     workers: int = 1

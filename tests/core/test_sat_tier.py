@@ -22,7 +22,11 @@ from repro.circuit.netlist import Circuit, validate
 from repro.circuit.timeframe import expand, expand_cached
 from repro.circuit.topology import FFPair, connected_ff_pairs
 from repro.core.detector import DetectorOptions, MultiCycleDetector
-from repro.core.incremental import incremental_detect, result_bundle
+from repro.core.incremental import (
+    incremental_detect,
+    options_fingerprint,
+    result_bundle,
+)
 from repro.core.result import CaseOutcome, Classification, Stage
 from repro.core.session import DecisionSession
 from repro.logic.simulator import Simulator
@@ -262,12 +266,31 @@ def test_every_sat_witness_violates_the_mc_condition(name):
 # ----------------------------------------------------------------------
 # Records do not depend on solve history.
 # ----------------------------------------------------------------------
-def test_records_identical_across_workers_and_packed_modes():
+@pytest.mark.parametrize("name,budget", [
+    # the default ladder: every open case goes to SAT
+    ("syn170", 0),
+    # searches that abort and escalate to SAT, their effort on the record
+    ("syn330", 1),
+    # the paper's budget: open cases settle in the search
+    ("syn170", 50),
+])
+def test_records_identical_across_workers_and_packed_modes(name, budget):
+    circuit = SMALL[name]
     reference = MultiCycleDetector(
-        BOTH_ANSWERS, DetectorOptions(use_random_sim=False)
+        circuit, DetectorOptions(use_random_sim=False, backtrack_limit=budget)
     ).run()
     session = reference.decision_session
-    assert session["sat_refuted"] > 0 and session["sat_witnessed"] > 0
+    stages = {r.stage for r in reference.pair_results}
+    if budget < 50:
+        assert session["sat_refuted"] > 0 and session["sat_witnessed"] > 0
+    else:
+        assert session["sat_solves"] == 0 and Stage.ATPG in stages
+    if budget == 1:
+        assert any(
+            case.backtracks
+            for r in reference.pair_results if r.stage is Stage.SAT
+            for case in r.cases
+        )
     expected = records_json(reference)
     variants = [
         {"workers": 2, "parallel_threshold": 2},
@@ -278,7 +301,10 @@ def test_records_identical_across_workers_and_packed_modes():
     ]
     for variant in variants:
         result = MultiCycleDetector(
-            BOTH_ANSWERS, DetectorOptions(use_random_sim=False, **variant)
+            circuit,
+            DetectorOptions(
+                use_random_sim=False, backtrack_limit=budget, **variant
+            ),
         ).run()
         assert records_json(result) == expected, variant
         assert {
@@ -377,3 +403,21 @@ def test_bundle_from_before_the_sat_tier_is_re_decided():
     assert records_json(rerun) == records_json(fresh)
     again = incremental_detect(circuit, options, result_bundle(rerun, options))
     assert again.incremental["re_decided"] == 0
+
+
+def test_search_engine_is_left_out_of_a_zero_budget_fingerprint():
+    """At budget 0 no search runs, so a bundle decided with one search
+    engine is inherited whole by a run with another."""
+    circuit = SMALL["syn170"]
+    podem = DetectorOptions(search_engine="podem")
+    bundle = result_bundle(MultiCycleDetector(circuit, podem).run(), podem)
+    rerun = incremental_detect(circuit, DetectorOptions(), bundle)
+    assert rerun.incremental["re_decided"] == 0
+    assert records_json(rerun) == records_json(
+        MultiCycleDetector(circuit, DetectorOptions()).run()
+    )
+    assert options_fingerprint(
+        DetectorOptions(backtrack_limit=50), circuit
+    ) != options_fingerprint(
+        DetectorOptions(backtrack_limit=50, search_engine="podem"), circuit
+    )
