@@ -206,11 +206,7 @@ class HazardChecker:
                 backtrack_limit=self.backtrack_limit,
                 max_attempts=self.max_attempts,
                 reach=premises.cone(ffj_t2),
-                x_cone=(
-                    premises.x_cone(ffi_t1)
-                    if self.mode is SensitizationMode.STATIC_CO_SENSITIZATION
-                    else None
-                ),
+                x_cone=premises.x_cone(ffi_t1),
             )
             engine.backtrack(mark)
             self.searches += 1
