@@ -53,7 +53,10 @@ same for every worker count, unit size, packed mode and incremental
 run — unless a history-warmed solve proves UNSAT a case a fresh solve
 could not prove within the budget, which the budget's margin over the
 conflicts cases need in practice (see docs/algorithms.md) keeps out of
-reach.
+reach.  Solving every case on a fresh encoder would need no such rule,
+but it re-encodes each case's cones: on a syn6000 netlist that more
+than doubles the SAT tier's time, which is why the session keeps one
+shared solver.
 """
 
 from __future__ import annotations
